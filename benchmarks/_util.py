@@ -83,11 +83,12 @@ def _git_rev() -> str:
 
 def section_aggregate(payload: dict) -> dict:
     """One-line rollup of a BENCH_perf.json section: total wall seconds,
-    oracle queries, and SAT-core conflicts/propagations, summed over the
-    section's per-suite records (falling back to the section's own
-    top-level fields for suite-less sections like ``warm_cache``)."""
+    oracle queries, SAT-core conflicts/propagations and checked theory
+    lemmas, summed over the section's per-suite records (falling back to
+    the section's own top-level fields for suite-less sections like
+    ``warm_cache`` and ``selfcheck_checked_lemmas``)."""
     agg = {"wall_seconds": 0.0, "queries": 0,
-           "conflicts": 0, "propagations": 0}
+           "conflicts": 0, "propagations": 0, "lemmas_checked": 0}
     suites = payload.get("suites")
     records = list(suites.values()) if isinstance(suites, dict) else [payload]
     for rec in records:
@@ -95,13 +96,15 @@ def section_aggregate(payload: dict) -> dict:
             continue
         agg["wall_seconds"] += (rec.get("wall_seconds", 0.0)
                                 + rec.get("cold_seconds", 0.0)
-                                + rec.get("warm_seconds", 0.0))
+                                + rec.get("warm_seconds", 0.0)
+                                + rec.get("sweep_wall_checked_s", 0.0))
         agg["queries"] += (rec.get("queries", rec.get("total_queries", 0))
                            + rec.get("cold_queries", 0)
                            + rec.get("warm_queries", 0))
         solver = rec.get("solver", {})
         agg["conflicts"] += solver.get("conflicts", 0)
         agg["propagations"] += solver.get("propagations", 0)
+        agg["lemmas_checked"] += rec.get("lemmas_checked", 0)
     agg["wall_seconds"] = round(agg["wall_seconds"], 3)
     return agg
 

@@ -33,7 +33,7 @@ from ..lang.ast import (BoolLit, CallStmt, Formula, Procedure, Program,
                         Stmt, formula_vars, mk_and, mk_or, stmt_children,
                         TRUE)
 from ..lang.transform import is_lambda_const
-from .analysis import ProgramReport, analyze_program
+from .analysis import _BUDGET_ERRORS, ProgramReport, analyze_program
 from .config import AbstractionConfig, CONC
 from .sib import find_abstract_sibs
 from .deadfail import Budget
@@ -179,8 +179,8 @@ def infer_contracts(program: Program,
                                      budget=Budget(timeout),
                                      unroll_depth=unroll_depth,
                                      max_preds=max_preds)
-        except Exception:
-            continue  # timeouts etc.: no contract for this procedure
+        except _BUDGET_ERRORS:
+            continue  # out of budget: no contract for this procedure
         candidates = [_callable_part(fm, proc, program)
                       for fm in res.spec_formulas]
         candidates = [c for c in candidates

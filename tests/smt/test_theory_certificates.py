@@ -183,7 +183,7 @@ def test_malformed_garbage_justification_rejected():
 
 
 # ----------------------------------------------------------------------
-# checker policy: no trusted fallback, no un-audited sharing
+# checker policy: no trusted fallback, no unknown justification kinds
 # ----------------------------------------------------------------------
 
 def test_unjustified_lemma_rejected_when_required():
@@ -192,13 +192,11 @@ def test_unjustified_lemma_rejected_when_required():
         checker.step("t", (-1, -2))
 
 
-def test_shared_justification_needs_parallel_context():
+def test_shared_justification_is_always_rejected():
     checker = DrupChecker(require_justified=True)
-    with pytest.raises(ProofError, match="shared-clause justification"):
+    with pytest.raises(ProofError, match="unknown justification kind"):
         checker.step("t", (-1, -2), ("shared", (-2, -1)))
-    relaxed = DrupChecker(require_justified=True, allow_shared=True)
-    relaxed.step("t", (-1, -2), ("shared", (-2, -1)))
-    assert relaxed.theory_shared == 1
+    assert checker.theory_checked == 0
 
 
 def test_variable_cannot_claim_two_atoms():
@@ -209,14 +207,41 @@ def test_variable_cannot_claim_two_atoms():
         checker.step("t", (-1, 7), other)
 
 
-def test_deferred_flush_catches_invalid_justification():
-    checker = DrupChecker(require_justified=True, defer=True)
+def test_step_rejects_invalid_justification_inline():
+    checker = DrupChecker(require_justified=True)
     premises = ((1, ("<=", X, ("int", 0))),
                 (2, ("<=", ("int", 1), X)))
     bad = ("lia", premises, (("comb", "le", ((1, 1, 0), (2, 1, 1))),))
-    checker.step("t", (-1, -2), bad)  # inline checks pass; math deferred
-    with pytest.raises(ProofError, match="theory lemma at step 1"):
-        checker.flush()
+    with pytest.raises(ProofError, match="LIA certificate does not refute"):
+        checker.step("t", (-1, -2), bad)
+    assert checker.theory_checked == 0
+
+
+def _lia_just_for(i: int, bad: bool = False):
+    """x_i ≤ 0  ∧  1 ≤ x_i over SAT variables 2i+1 and 2i+2; ``bad``
+    scales the second row by 2, which no longer refutes."""
+    xi = ("var", f"x{i}", "Int")
+    premises = ((2 * i + 1, ("<=", xi, ("int", 0))),
+                (2 * i + 2, ("<=", ("int", 1), xi)))
+    scale = 2 if bad else 1
+    script = (("comb", "le", ((1, 1, 0), (scale, 1, 1))),)
+    return ((-(2 * i + 1), -(2 * i + 2)), ("lia", premises, script))
+
+
+@pytest.mark.parametrize("bad_at", [0, 57, 119])
+def test_large_proof_names_first_bad_lemma(bad_at):
+    # 120 theory lemmas, a proof-sized batch; the lemmas at bad_at and
+    # bad_at + 1 carry a wrong Farkas coefficient.  The rejection names
+    # the first bad step, in proof order.
+    steps = [("i", (1,))]
+    for i in range(120):
+        lits, just = _lia_just_for(i, bad=i in (bad_at, bad_at + 1))
+        steps.append(("t", lits, just))
+    with pytest.raises(ProofError,
+                       match=rf"^step {bad_at + 1}: LIA certificate"):
+        check_proof(steps, require_justified=True)
+    good = [("i", (1,))] + [("t",) + _lia_just_for(i) for i in range(120)]
+    assert check_proof(good, require_justified=True) == 0
 
 
 def test_check_proof_end_to_end_with_justifications():
@@ -224,10 +249,9 @@ def test_check_proof_end_to_end_with_justifications():
              ("t", (-1, -2), _lia_just()),
              ("f", ())]
     assert check_proof(steps, require_unsat=True, require_justified=True) >= 1
-    checker = DrupChecker(require_justified=True, defer=True)
+    checker = DrupChecker(require_justified=True)
     for step in steps:
         checker.step(step[0], step[1], step[2] if len(step) > 2 else None)
-    checker.flush()
     assert checker.theory_checked == 1
     assert checker.theory_trusted == 0
 
