@@ -56,7 +56,7 @@ def compile_suite(suite: Suite) -> Program:
 def run_suite(suite: Suite, config: AbstractionConfig,
               prune_k: int | None = None, timeout: float | None = 10.0,
               program: Program | None = None,
-              max_preds: int = 10, jobs: int = 1,
+              max_preds: int = 10,
               cache_dir: str | None = None,
               self_check: bool = False) -> SuiteRun:
     """Analyze every generated function of a suite under one configuration.
@@ -71,7 +71,7 @@ def run_suite(suite: Suite, config: AbstractionConfig,
     t0 = time.monotonic()
     report = analyze_program(prog, config=config, prune_k=prune_k,
                              timeout=timeout, proc_names=names,
-                             max_preds=max_preds, jobs=jobs,
+                             max_preds=max_preds,
                              cache_dir=cache_dir, self_check=self_check)
     run = SuiteRun(suite_name=suite.name, config_name=config.name,
                    prune_k=prune_k, n_procs=len(names))

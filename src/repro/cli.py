@@ -10,16 +10,18 @@
 Usage::
 
     python -m repro [--c] [--config NAME]... [--prune-k K]
-                    [--timeout SECONDS] [--proc NAME] [--jobs N]
+                    [--timeout SECONDS] [--proc NAME]
                     [--cache-dir DIR | --no-cache] [--self-check] FILE
     python -m repro serve  [--socket ADDR] [--pool N] [--queue-limit N] ...
     python -m repro fleet  [--socket ADDR] [--replicas N] [--pool N] ...
     python -m repro submit [--socket ADDR | --router ADDR] [--c] ... FILE
-    python -m repro ci     DIR [--manifest PATH] [--jobs N] ...
+    python -m repro ci     DIR [--manifest PATH] ...
 
 ``--c`` treats FILE as mini-C (the HAVOC path); otherwise it is parsed as
 the mini-Boogie surface syntax.  ``--config`` may repeat (default: Conc);
-``--proc`` restricts to one procedure.  ``--cache-dir`` (default: the
+``--proc`` restricts to one procedure.  The batch command analyzes one
+procedure at a time; parallelism across procedures is ``repro serve
+--pool N``.  ``--cache-dir`` (default: the
 ``REPRO_CACHE_DIR`` environment variable) enables the persistent
 analysis cache, making re-runs on unchanged procedures near-instant;
 ``--no-cache`` turns it off regardless.
@@ -78,9 +80,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                          "mini-C lowering inserts (e.g. 'use-after-free,"
                          "divide-by-zero'; aliases: 'default', 'all').  "
                          "Only meaningful with --c; see docs/scenarios.md")
-    ap.add_argument("--jobs", type=int, default=1, metavar="N",
-                    help="analyze procedures in N worker processes "
-                         "(default 1: serial, deterministic)")
     ap.add_argument("--cache-dir", metavar="DIR",
                     default=os.environ.get("REPRO_CACHE_DIR"),
                     help="persistent analysis cache directory (default: "
@@ -136,16 +135,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
     ap.add_argument("--no-cache", action="store_true",
                     help="disable the persistent cache even if "
                          "--cache-dir / $REPRO_CACHE_DIR is set")
-    ap.add_argument("--no-coalesce", action="store_true",
-                    help="disable in-flight request coalescing")
     ap.add_argument("--hot-bytes", type=int, default=None, metavar="BYTES",
                     help="in-memory hot-tier result cache budget in bytes "
                          "(default 64 MiB; 0 disables the hot tier)")
-    ap.add_argument("--peer", action="append", dest="peers", metavar="ADDR",
-                    default=None,
-                    help="address of a sibling replica to peek warm results "
-                         "from before computing cold keys (repeatable; set "
-                         "automatically by `repro fleet`)")
     return ap
 
 
@@ -262,9 +254,6 @@ def build_ci_parser() -> argparse.ArgumentParser:
                          "fingerprinting procedures in untouched files "
                          "entirely, reusing the previous manifest's "
                          "fingerprints")
-    ap.add_argument("--jobs", type=int, default=1, metavar="N",
-                    help="run the dirty set on N priority-pool workers "
-                         "(default 1: serial, in plan order)")
     ap.add_argument("--cache-dir", metavar="DIR",
                     default=os.environ.get("REPRO_CACHE_DIR"),
                     help="persistent analysis cache (default: "
@@ -311,9 +300,8 @@ def run_ci_cmd(argv: list[str], out=sys.stdout) -> int:
         result = run_ci(args.dir, manifest_path,
                         config=BY_NAME[args.config], prune_k=args.prune_k,
                         timeout=args.timeout, unroll_depth=args.unroll,
-                        max_preds=args.max_preds, jobs=args.jobs,
-                        cache_dir=cache_dir, bug_classes=bug_classes,
-                        changed_files=changed_files)
+                        max_preds=args.max_preds, cache_dir=cache_dir,
+                        bug_classes=bug_classes, changed_files=changed_files)
     except IngestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -387,7 +375,7 @@ def run_serve(argv: list[str], out=sys.stdout) -> int:
         print("error: serve needs --socket or $REPRO_SERVE_SOCKET",
               file=sys.stderr)
         return 2
-    from .serve import run_server
+    from .serve import AnalysisServer, run_service
     from .serve.hotcache import DEFAULT_HOT_BYTES
     cache_dir = None if args.no_cache else args.cache_dir
     hot_bytes = DEFAULT_HOT_BYTES if args.hot_bytes is None \
@@ -396,11 +384,10 @@ def run_serve(argv: list[str], out=sys.stdout) -> int:
           f"(pool={args.pool}, queue_limit={args.queue_limit}, "
           f"cache={'on' if cache_dir else 'off'})", file=out, flush=True)
     try:
-        run_server(args.socket, pool_size=args.pool,
-                   queue_limit=args.queue_limit, cache_dir=cache_dir,
-                   default_deadline=args.deadline,
-                   coalesce=not args.no_coalesce,
-                   hot_bytes=hot_bytes, peers=args.peers or [])
+        run_service(AnalysisServer(
+            args.socket, pool_size=args.pool, queue_limit=args.queue_limit,
+            cache_dir=cache_dir, default_deadline=args.deadline,
+            hot_bytes=hot_bytes))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -592,7 +579,7 @@ def run(argv: list[str] | None = None, out=sys.stdout) -> int:
             rep = analyze_program(
                 program, config=config, prune_k=args.prune_k,
                 timeout=args.timeout, unroll_depth=args.unroll,
-                proc_names=proc_names, jobs=args.jobs, cache_dir=cache_dir,
+                proc_names=proc_names, cache_dir=cache_dir,
                 self_check=args.self_check)
             for r in rep.reports:
                 by_key[(r.proc_name, config.name)] = r

@@ -4,9 +4,9 @@ almost-correct specifications (ACSpec)."""
 from .acspec import (AcspecResult, SearchBudgetExceeded,
                      find_almost_correct_specs)
 from .analysis import (ProcedureReport, ProgramReport, analyze_procedure,
-                       analyze_program, conservative_program, failure_report,
-                       program_report_from_json, program_report_to_json,
-                       run_tasks)
+                       analyze_program, assemble_results,
+                       conservative_program, failure_report,
+                       program_report_from_json, program_report_to_json)
 from .cache import SCHEMA_VERSION as CACHE_SCHEMA_VERSION
 from .cache import AnalysisCache
 from .checker import CheckResult, check_procedure
@@ -22,8 +22,8 @@ from .tasks import AnalysisTask, TaskResult, coalesce_key, run_task
 __all__ = [
     "AcspecResult", "SearchBudgetExceeded", "find_almost_correct_specs",
     "ProcedureReport", "ProgramReport", "analyze_procedure",
-    "analyze_program", "conservative_program", "failure_report",
-    "program_report_from_json", "program_report_to_json", "run_tasks",
+    "analyze_program", "assemble_results", "conservative_program",
+    "failure_report", "program_report_from_json", "program_report_to_json",
     "AnalysisTask", "TaskResult", "coalesce_key", "run_task",
     "AnalysisCache", "CACHE_SCHEMA_VERSION",
     "CheckResult", "check_procedure",

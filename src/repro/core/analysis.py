@@ -5,27 +5,26 @@ timeout accounting; ``analyze_program`` sweeps every procedure of a
 program and aggregates the per-benchmark numbers the paper's tables use
 (warning counts, timeouts, predicates/clauses/time per procedure).
 
-Procedures are analyzed independently (each builds its own encoding and
-solver), so ``analyze_program`` and ``conservative_program`` accept
-``jobs``: with ``jobs > 1`` the sweep fans out across a
-``ProcessPoolExecutor``.  The default ``jobs=1`` keeps the serial,
-deterministic path; results are identical either way (modulo wall-clock
-fields), which is property-tested.  Both sweeps hand each procedure to
-a worker as a `repro.core.tasks.AnalysisTask` — the same unit of work
-the analysis server (`repro.serve`) streams to its persistent pool —
-and a procedure whose analysis *raises* becomes a structured failure
-entry in the report (``ProcedureReport.failed`` + ``.failure``) instead
-of aborting the whole sweep.  The one exception is a rejected solver
-certificate under ``self_check``: that is re-raised, because a
-certificate failure means the toolchain itself is wrong.
+Procedures are analyzed one at a time, as in the paper's tool.  Both
+sweeps hand each procedure to `repro.core.tasks.run_task` as an
+`repro.core.tasks.AnalysisTask` — the same unit of work the analysis
+server (`repro.serve`) streams to its persistent pool — and turn the
+results into a report with :func:`assemble_results`, the one assembly
+the server uses too, so served output equals batch output by
+construction.  A procedure whose analysis *raises* becomes a structured
+failure entry in the report (``ProcedureReport.failed`` + ``.failure``)
+instead of aborting the whole sweep.  The one exception is a rejected
+solver certificate under ``self_check``: the batch sweeps re-raise it,
+because a certificate failure means the toolchain itself is wrong.
+Parallelism across procedures is the server's worker pool
+(``repro serve --pool N``).
 
 Both sweeps, and ``analyze_procedure`` itself, consult the persistent
 content-addressed cache (`repro.core.cache`) when given one: a procedure
 whose structural hash + configuration fingerprint is already on disk
-returns its stored ``ProcedureReport`` verbatim, with zero solver work.
-Under ``jobs > 1`` every worker opens the same cache directory — records
-are written atomically, so sharing is safe — and the per-worker
-hit/miss/store counters are merged into ``ProgramReport.cache_stats``.
+returns its stored ``ProcedureReport`` verbatim, with zero solver work,
+and the hit/miss/store counters are merged into
+``ProgramReport.cache_stats``.
 """
 
 from __future__ import annotations
@@ -218,13 +217,14 @@ def _proc_names(program: Program, proc_names: list[str] | None) -> list[str]:
             if p.body is not None]
 
 
-def _reraise_certificate(failure: dict) -> None:
+def _reraise_certificate(results: list) -> None:
     """A rejected certificate is a toolchain bug, not a per-procedure
-    hiccup: restore the batch paths' historical behavior of raising
-    (the CLI maps it to exit 3)."""
-    if failure.get("type") == "CertificateError":
-        from ..smt.api import CertificateError
-        raise CertificateError(failure.get("message", ""))
+    hiccup: the batch sweeps raise it (the CLI maps it to exit 3)."""
+    for res in results:
+        if res.failure is not None and \
+                res.failure.get("type") == "CertificateError":
+            from ..smt.api import CertificateError
+            raise CertificateError(res.failure.get("message", ""))
 
 
 def failure_report(proc_name: str, config_name: str,
@@ -235,17 +235,39 @@ def failure_report(proc_name: str, config_name: str,
                            failed=True, failure=dict(failure))
 
 
-def run_tasks(tasks: list, jobs: int = 1) -> list:
-    """Run :class:`~repro.core.tasks.AnalysisTask` items, serially or
-    over a ``ProcessPoolExecutor``; one :class:`TaskResult` per task,
-    in task order.  ``run_task`` never raises, so one broken procedure
-    cannot abort the sweep."""
-    from .tasks import run_task
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            return list(pool.map(run_task, tasks))
-    return [run_task(t) for t in tasks]
+def assemble_results(kind: str, results: list, config_name: str = CONC.name,
+                     prune_k: int | None = None):
+    """The report of a sweep from its per-procedure
+    :class:`~repro.core.tasks.TaskResult` list, in order — the one
+    assembly shared by the batch sweeps and the server.
+
+    ``analyze`` results become a :class:`ProgramReport` (a failed task
+    becomes a :func:`failure_report` entry); ``cons`` results become
+    the Cons baseline's wire dict ``{"kind", "warnings", "timeouts",
+    "failures", "cache_stats"}`` (a failed task has an empty warning
+    list and a ``failures`` entry).  Cache counters are merged either
+    way.
+    """
+    cache_stats = merge_cache_stats(r.cache_stats for r in results)
+    if kind == "analyze":
+        out = ProgramReport(config_name=config_name, prune_k=prune_k)
+        out.reports = [r.report if r.failure is None else
+                       failure_report(r.proc_name, config_name, r.failure)
+                       for r in results]
+        out.cache_stats = cache_stats
+        return out
+    warnings: dict[str, list] = {}
+    failures: dict[str, dict] = {}
+    timeouts = 0
+    for r in results:
+        if r.failure is not None:
+            warnings[r.proc_name] = []
+            failures[r.proc_name] = dict(r.failure)
+            continue
+        warnings[r.proc_name] = r.cons_warnings
+        timeouts += r.cons_timed_out
+    return {"kind": "cons", "warnings": warnings, "timeouts": timeouts,
+            "failures": failures, "cache_stats": cache_stats}
 
 
 def analyze_program(program: Program,
@@ -256,53 +278,39 @@ def analyze_program(program: Program,
                     max_preds: int = 12,
                     lia_budget: int = 20000,
                     proc_names: list[str] | None = None,
-                    jobs: int = 1,
                     cache_dir: str | None = None,
                     self_check: bool = False) -> ProgramReport:
     """Analyze every procedure with a body.
 
-    ``jobs > 1`` distributes procedures over that many worker processes;
-    report order always follows ``proc_names`` order.  ``cache_dir``
-    points every worker at one shared persistent analysis cache
-    (`repro.core.cache`); per-worker counters are merged into
-    ``ProgramReport.cache_stats``.  A procedure whose analysis raises
-    becomes a :func:`failure_report` entry; a ``CertificateError`` is
-    re-raised after the sweep result is known.
+    Report order follows ``proc_names`` order.  ``cache_dir`` points
+    the sweep at the persistent analysis cache (`repro.core.cache`);
+    its counters are merged into ``ProgramReport.cache_stats``.  A
+    procedure whose analysis raises becomes a :func:`failure_report`
+    entry; a ``CertificateError`` is re-raised after the sweep.
     """
-    from .tasks import AnalysisTask
-    out = ProgramReport(config_name=config.name, prune_k=prune_k)
-    names = _proc_names(program, proc_names)
+    from .tasks import AnalysisTask, run_task
     cache_dir = str(cache_dir) if cache_dir is not None else None
-    tasks = [AnalysisTask(kind="analyze", proc_name=name, program=program,
-                          config_name=config.name, prune_k=prune_k,
-                          timeout=timeout, unroll_depth=unroll_depth,
-                          max_preds=max_preds, lia_budget=lia_budget,
-                          cache_dir=cache_dir, self_check=self_check)
-             for name in names]
-    results = run_tasks(tasks, jobs=jobs)
-    for res in results:
-        if res.failure is not None:
-            _reraise_certificate(res.failure)
-            out.reports.append(failure_report(res.proc_name, config.name,
-                                              res.failure))
-        else:
-            out.reports.append(res.report)
-    out.cache_stats = merge_cache_stats(r.cache_stats for r in results)
-    return out
+    results = [run_task(AnalysisTask(
+        kind="analyze", proc_name=name, program=program,
+        config_name=config.name, prune_k=prune_k, timeout=timeout,
+        unroll_depth=unroll_depth, max_preds=max_preds,
+        lia_budget=lia_budget, cache_dir=cache_dir, self_check=self_check))
+        for name in _proc_names(program, proc_names)]
+    _reraise_certificate(results)
+    return assemble_results("analyze", results, config.name, prune_k)
 
 
 def conservative_program(program: Program, timeout: float | None = 10.0,
                          unroll_depth: int = 2,
                          lia_budget: int = 20000,
                          proc_names: list[str] | None = None,
-                         jobs: int = 1,
                          cache_dir: str | None = None,
                          cache_stats_out: dict | None = None,
                          self_check: bool = False,
                          failures_out: dict | None = None):
     """The Cons baseline over a program: (per-proc warning lists, timeouts).
 
-    ``cache_dir`` enables the shared persistent cache as in
+    ``cache_dir`` enables the persistent cache as in
     :func:`analyze_program`; because the return shape is fixed, the
     merged cache counters are delivered by mutating ``cache_stats_out``
     (when a dict is passed) instead of being returned.  A procedure
@@ -310,31 +318,20 @@ def conservative_program(program: Program, timeout: float | None = 10.0,
     ``failures_out`` (a dict) to collect the structured
     ``{proc_name: {"type", "message"}}`` failure entries.
     """
-    from .tasks import AnalysisTask
-    names = _proc_names(program, proc_names)
+    from .tasks import AnalysisTask, run_task
     cache_dir = str(cache_dir) if cache_dir is not None else None
-    tasks = [AnalysisTask(kind="cons", proc_name=name, program=program,
-                          timeout=timeout, unroll_depth=unroll_depth,
-                          lia_budget=lia_budget, cache_dir=cache_dir,
-                          self_check=self_check)
-             for name in names]
-    results = run_tasks(tasks, jobs=jobs)
-    warnings: dict[str, list] = {}
-    timeouts = 0
-    for res in results:
-        if res.failure is not None:
-            _reraise_certificate(res.failure)
-            warnings[res.proc_name] = []
-            if failures_out is not None:
-                failures_out[res.proc_name] = dict(res.failure)
-            continue
-        warnings[res.proc_name] = res.cons_warnings
-        if res.cons_timed_out:
-            timeouts += 1
+    results = [run_task(AnalysisTask(
+        kind="cons", proc_name=name, program=program, timeout=timeout,
+        unroll_depth=unroll_depth, lia_budget=lia_budget,
+        cache_dir=cache_dir, self_check=self_check))
+        for name in _proc_names(program, proc_names)]
+    _reraise_certificate(results)
+    cons = assemble_results("cons", results)
+    if failures_out is not None:
+        failures_out.update(cons["failures"])
     if cache_stats_out is not None:
-        cache_stats_out.update(
-            merge_cache_stats(r.cache_stats for r in results))
-    return warnings, timeouts
+        cache_stats_out.update(cons["cache_stats"])
+    return cons["warnings"], cons["timeouts"]
 
 
 # ----------------------------------------------------------------------

@@ -19,8 +19,8 @@ On-disk layout (see ``docs/caching.md`` for the full format):
 
 * one JSON record per key at ``<cache-dir>/<digest>.json``;
 * records are written atomically (temp file in the same directory, then
-  ``os.replace``), so concurrent ``--jobs`` workers sharing a cache
-  directory can only ever observe complete records;
+  ``os.replace``), so concurrent pool workers and fleet replicas
+  sharing a cache directory can only ever observe complete records;
 * a record that is unreadable, truncated, of the wrong schema version,
   or otherwise malformed is **treated as a miss** (counted as an
   invalidation) and silently overwritten — a bad cache can cost time,
@@ -107,7 +107,7 @@ class AnalysisCache:
     """A content-addressed store of completed analysis results.
 
     Construction is cheap and idempotent (the directory is created on
-    demand), so ``--jobs`` workers each open their own instance over the
+    demand), so pool workers each open their own instance over the
     same directory.  All methods are crash-tolerant: I/O or decode
     errors degrade to cache misses, never exceptions.
     """
@@ -191,11 +191,8 @@ class AnalysisCache:
     def peek(self, key: str) -> dict | None:
         """The raw on-disk record for ``key``, or ``None`` — **no side
         effects**: no hit/miss counting, no baseline seeding, no report
-        reconstruction.  This is the disk half of the fleet's
-        cross-shard cache peeking (`docs/fleet.md`): a replica answers
-        a neighbor's ``peek`` from here when its in-memory hot tier has
-        already evicted the key, and a probe on behalf of another shard
-        must not distort this shard's own cache statistics."""
+        reconstruction, so reading a record's metadata (:meth:`wall_of`)
+        does not distort the cache statistics."""
         path = self._path(key)
         try:
             rec = json.loads(path.read_bytes())
@@ -208,7 +205,7 @@ class AnalysisCache:
 
     def _write(self, key: str, rec: dict) -> None:
         """Atomic write-then-rename, so readers (including concurrent
-        ``--jobs`` workers on the same directory) never observe a
+        pool workers on the same directory) never observe a
         partial record.  Write failures are swallowed: the cache is an
         accelerator, not a dependency."""
         try:

@@ -40,9 +40,7 @@ affect, not for the whole repo.  This module is that driver:
    changed/renamed/new; rank 1: dependent), historically-slow-first
    within each rank using the wall seconds the manifest recorded for
    the previous run (ties break by name, so plans are deterministic).
-   With ``jobs > 1`` the tasks go through the serve layer's
-   :class:`~repro.serve.pool.WorkerPool`, whose priority queue honors
-   the same ranks; ``jobs=1`` runs them serially in plan order.
+   The dirty set runs serially in plan order.
 
 5. **Report.**  The new manifest is written back (sorted keys, so it
    is byte-stable), and the run carries a *warning delta* against the
@@ -162,7 +160,7 @@ class IncrementPlan:
     #: dirty procedures in schedule order (rank, then slow-first, then
     #: name)
     order: list = field(default_factory=list)
-    #: procedure -> scheduling rank (the WorkerPool priority)
+    #: procedure -> scheduling rank (0 changed/renamed/new, 1 dependent)
     priorities: dict = field(default_factory=dict)
     #: fingerprints of the *current* repo, reused by the new manifest
     surface_fps: dict = field(default_factory=dict)
@@ -276,28 +274,6 @@ def plan_increment(repo: IngestedRepo, previous: dict | None, *,
 
 
 # ----------------------------------------------------------------------
-# execution
-# ----------------------------------------------------------------------
-
-def _execute(tasks: list, priorities: list, jobs: int) -> list:
-    """Run the dirty set; results in task order.  ``jobs=1`` is the
-    serial, deterministic path (tasks arrive already in plan order);
-    ``jobs>1`` routes through the serve layer's priority worker pool,
-    which dispatches rank 0 before rank 1 whenever both are queued."""
-    if jobs <= 1 or len(tasks) <= 1:
-        return [run_task(t) for t in tasks]
-    from ..serve.pool import WorkerPool  # lazy: serve imports core
-    pool = WorkerPool(workers=min(jobs, len(tasks)))
-    pool.start()
-    try:
-        futures = [pool.submit(task, priority=prio)
-                   for task, prio in zip(tasks, priorities)]
-        return [f.result() for f in futures]
-    finally:
-        pool.close()
-
-
-# ----------------------------------------------------------------------
 # warning delta
 # ----------------------------------------------------------------------
 
@@ -396,7 +372,6 @@ def run_ci(root: str | os.PathLike,
            unroll_depth: int = 2,
            max_preds: int = 12,
            lia_budget: int = 20000,
-           jobs: int = 1,
            cache_dir: str | None = None,
            bug_classes: frozenset[str] | None = None,
            changed_files: list | set | None = None) -> CiResult:
@@ -425,15 +400,14 @@ def run_ci(root: str | os.PathLike,
                           bug_classes=bug_classes,
                           changed_files=changed_files)
 
-    tasks = [AnalysisTask(kind="analyze", proc_name=name,
-                          program=repo.program, config_name=config.name,
-                          prune_k=prune_k, timeout=timeout,
-                          unroll_depth=unroll_depth, max_preds=max_preds,
-                          lia_budget=lia_budget,
-                          cache_dir=str(cache_dir) if cache_dir else None)
-             for name in plan.order]
-    results = _execute(tasks, [plan.priorities[n] for n in plan.order],
-                       jobs)
+    results = [run_task(AnalysisTask(
+        kind="analyze", proc_name=name, program=repo.program,
+        config_name=config.name, prune_k=prune_k, timeout=timeout,
+        unroll_depth=unroll_depth, max_preds=max_preds,
+        lia_budget=lia_budget,
+        cache_dir=str(cache_dir) if cache_dir else None))
+        for name in plan.order]
+    _reraise_certificate(results)
 
     procedures: dict = {}
     prev_procs = previous.get("procedures", {}) if previous else {}
@@ -446,7 +420,6 @@ def run_ci(root: str | os.PathLike,
     queries = 0
     for name, res in zip(plan.order, results):
         if res.failure is not None:
-            _reraise_certificate(res.failure)
             report = failure_report(name, config.name, res.failure)
         else:
             report = res.report

@@ -1,12 +1,11 @@
 """One worker-task representation shared by the batch sweeps and the
 analysis server.
 
-Before the serving layer existed, ``analyze_program`` and
-``conservative_program`` each carried their own ad-hoc payload tuple
-into ``ProcessPoolExecutor`` workers.  The persistent worker pool
-(`repro.serve.pool`) needs the same unit of work — "analyze this one
-procedure under these knobs" — shipped over a pipe instead, so the
-payload now lives here as a proper dataclass:
+The batch sweeps (``analyze_program``, ``conservative_program``,
+``run_ci``) and the server's persistent worker pool
+(`repro.serve.pool`) run the same unit of work — "analyze this one
+procedure under these knobs" — in process or shipped over a pipe, so
+the payload lives here as a proper dataclass:
 
 * :class:`AnalysisTask` — the picklable description of one unit of
   work (an ``analyze`` or ``cons`` run of one procedure, plus a few
@@ -104,9 +103,8 @@ def failure_result(task: AnalysisTask, type_: str, message: str,
 
 def run_task(task: AnalysisTask) -> TaskResult:
     """Execute one task; never raises (exceptions become
-    ``TaskResult.failure``).  This is the body of every batch
-    ``ProcessPoolExecutor`` worker and every `repro.serve.pool`
-    worker."""
+    ``TaskResult.failure``).  The batch sweeps call it in process;
+    every `repro.serve.pool` worker runs it on the tasks it receives."""
     try:
         return _dispatch(task)
     except Exception as exc:  # noqa: BLE001 — fold into the report
@@ -191,23 +189,24 @@ def _run_control(task: AnalysisTask) -> TaskResult:
     raise ValueError(f"unknown control kind {task.kind!r}")
 
 
-def task_keys(task: AnalysisTask) -> tuple[str, str | None]:
-    """``(coalesce_key, cache_key)`` for one task.
+def coalesce_key(task: AnalysisTask) -> str:
+    """The content address identical concurrent submissions share.
 
-    ``coalesce_key`` is the content address identical concurrent
-    submissions share (see :func:`coalesce_key`); ``cache_key`` is the
-    budget-insensitive persistent-cache address the key is derived
-    from — the serving layer needs both, because the in-memory hot tier
-    and in-flight coalescing key on the former while cross-shard disk
-    peeking keys on the latter (`repro.serve.hotcache`,
-    ``docs/fleet.md``).  ``cache_key`` is ``None`` for control kinds,
-    which have no content address.
+    Two tasks with equal keys are guaranteed to produce bit-identical
+    results, so the server runs one and hands the result to both; the
+    hot tier (`repro.serve.hotcache`) and the fleet's hash ring key on
+    it too.  The key is the persistent-cache content address
+    (post-elaboration AST fingerprint + budget-insensitive config
+    fingerprint) **plus** the budget knobs the cache deliberately leaves
+    out — a request with a different timeout may legitimately time out
+    differently, so it must not coalesce with a longer-budget twin.
+    Control kinds have no content address and never coalesce.
     """
     from ..lang.transform import prepare_procedure
     from .cache import analysis_cache_key, cons_cache_key
     from .config import BY_NAME
     if task.kind in CONTROL_KINDS:
-        return f"control:{task.kind}:{id(task)}", None  # never coalesced
+        return f"control:{task.kind}:{id(task)}"  # never coalesced
     config = BY_NAME[task.config_name]
     if task.kind == "analyze":
         prepared = prepare_procedure(task.program,
@@ -228,18 +227,4 @@ def task_keys(task: AnalysisTask) -> tuple[str, str | None]:
     budget = (f"kind={task.kind};timeout={task.timeout};"
               f"lia_budget={task.lia_budget};self_check={task.self_check};"
               f"cache={'on' if task.cache_dir else 'off'}")
-    return hashlib.sha256(f"{base}\x00{budget}".encode()).hexdigest(), base
-
-
-def coalesce_key(task: AnalysisTask) -> str:
-    """The content address identical concurrent submissions share.
-
-    Two tasks with equal keys are guaranteed to produce bit-identical
-    results, so the server runs one and hands the result to both.  The
-    key is the persistent-cache content address (post-elaboration AST
-    fingerprint + budget-insensitive config fingerprint) **plus** the
-    budget knobs the cache deliberately leaves out — a request with a
-    different timeout may legitimately time out differently, so it
-    must not coalesce with a longer-budget twin.
-    """
-    return task_keys(task)[0]
+    return hashlib.sha256(f"{base}\x00{budget}".encode()).hexdigest()

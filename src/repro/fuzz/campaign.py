@@ -8,8 +8,6 @@ generates programs in the fragments the oracles need, and runs:
 * one heavyweight oracle from a fixed rotation
   (``interp-vs-wp`` → ``brute-vs-solver`` → ``incremental-vs-naive`` →
   ``cache``);
-* the ``jobs`` oracle every ``jobs_every``-th iteration (process-pool
-  spawns are expensive).
 
 Solver-backed oracles run with certificate validation on by default, so
 a campaign simultaneously fuzzes the solver's self-checking layer: a
@@ -49,8 +47,6 @@ ROTATION: list[tuple[str, GenConfig]] = [
     ("theory_justifications", gen.SOLVER),
     ("incremental-vs-naive", gen.SCENARIOS),
 ]
-
-_JOBS_CONFIG = gen.MULTIPROC
 
 
 def iteration_seed(seed: int, i: int) -> int:
@@ -141,7 +137,6 @@ def _minimize_case(oracle: str, program: Program, rng_seed: int,
 
 def run_campaign(seed: int = 0, iterations: int = 300,
                  corpus_dir: str | Path | None = None,
-                 jobs_every: int = 50,
                  minimize: bool = True,
                  progress=None,
                  only: str | None = None) -> CampaignResult:
@@ -150,10 +145,9 @@ def run_campaign(seed: int = 0, iterations: int = 300,
 
     ``corpus_dir`` (usually ``tests/corpus``) receives one minimized
     ``.bpl`` reproducer per finding; ``None`` disables writing.
-    ``jobs_every=0`` disables the process-pool oracle.
     ``only`` focuses every iteration on a single named oracle (the CI
-    uses it for targeted campaigns); the rotation, the per-iteration
-    ``roundtrip`` guard and the ``jobs`` cadence are skipped.
+    uses it for targeted campaigns); the rotation and the per-iteration
+    ``roundtrip`` guard are skipped.
     """
     result = CampaignResult(seed=seed, iterations=iterations)
 
@@ -192,8 +186,8 @@ def run_campaign(seed: int = 0, iterations: int = 300,
     if only is not None and only not in ORACLES:
         raise ValueError(f"unknown oracle {only!r}; "
                          f"known: {sorted(ORACLES)}")
-    focus_config = dict(ROTATION, roundtrip=gen.GENERAL,
-                        jobs=_JOBS_CONFIG).get(only, gen.SOLVER)
+    focus_config = dict(ROTATION, roundtrip=gen.GENERAL).get(only,
+                                                             gen.SOLVER)
 
     for i in range(iterations):
         s = iteration_seed(seed, i)
@@ -208,8 +202,6 @@ def run_campaign(seed: int = 0, iterations: int = 300,
         run_one("roundtrip", gen.GENERAL, s, i)
         heavy, config = ROTATION[i % len(ROTATION)]
         run_one(heavy, config, s + 1, i)
-        if jobs_every and (i + 1) % jobs_every == 0:
-            run_one("jobs", _JOBS_CONFIG, s + 2, i)
         if progress is not None and (i + 1) % 25 == 0:
             progress(f"{i + 1}/{iterations} iterations, "
                      f"{len(result.disagreements)} disagreements, "

@@ -285,7 +285,7 @@ DETERMINISTIC = replace(GENERAL, deterministic=True)
 BRUTE = GenConfig(deterministic=True, maps=False, funs=False, loops=False,
                   n_int_vars=3, max_block=4,
                   domain_bound=DEFAULT_DOMAIN_BOUND)
-# Solver-heavy oracles (incremental/cache/jobs) pay for every generated
+# Solver-heavy oracles (incremental/cache) pay for every generated
 # statement many times over — once per Dead/Fail query, each with model
 # extraction under --self-check — so they fuzz a smaller fragment.
 SOLVER = GenConfig(n_int_vars=2, max_depth=2, max_block=3, stmt_depth=2)

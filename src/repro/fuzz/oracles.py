@@ -18,7 +18,6 @@ oracle                 side A                          side B
 ``incremental-vs-``    monotonicity-hinted             per-query naive
 ``naive``              ``fail_set``/``dead_set``       recomputation
 ``cache``              uncached analysis               cache miss+store / hit
-``jobs``               ``analyze_program(jobs=2)``     serial sweep
 ``reduction``          learnt-DB reduction on          ``reduce_learnts=False``
 ``lemma-cache``        theory-lemma cache + LIA        both knobs off
                        trail on
@@ -308,26 +307,6 @@ def cached_vs_uncached(program: Program, rng: random.Random,
 
 
 # ----------------------------------------------------------------------
-# oracle: parallel vs serial sweep
-# ----------------------------------------------------------------------
-
-@_skip_on_budget
-def jobs_vs_serial(program: Program, rng: random.Random,
-                   self_check: bool = True) -> str | None:
-    """``analyze_program(jobs=2)`` must equal the serial sweep report
-    for report (modulo wall-clock fields)."""
-    kwargs = dict(timeout=None, lia_budget=5000, max_preds=6,
-                  self_check=self_check)
-    serial = analyze_program(program, **kwargs)
-    parallel = analyze_program(program, jobs=2, **kwargs)
-    a = [(r.proc_name, _fields(r)) for r in serial.reports]
-    b = [(r.proc_name, _fields(r)) for r in parallel.reports]
-    if a != b:
-        return f"jobs=2 sweep differs from serial: {b} vs {a}"
-    return None
-
-
-# ----------------------------------------------------------------------
 # oracles: solver tuning knobs on vs off
 # ----------------------------------------------------------------------
 
@@ -384,7 +363,6 @@ ORACLES = {
     "brute-vs-solver": brute_vs_solver,
     "incremental-vs-naive": incremental_vs_naive,
     "cache": cached_vs_uncached,
-    "jobs": jobs_vs_serial,
     "reduction": reduction_on_vs_off,
     "lemma-cache": lemma_cache_on_vs_off,
     "theory_justifications": theory_justifications,

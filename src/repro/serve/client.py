@@ -35,6 +35,10 @@ from .protocol import MAX_LINE, decode, encode, parse_address
 #: Upper bound on one backoff sleep, pre-jitter (seconds).
 BACKOFF_CAP = 5.0
 
+#: ``overloaded`` replies absorbed per submission before giving up
+#: (the client's and the router's shard submissions alike).
+SUBMIT_ATTEMPTS = 40
+
 
 def retry_delay(token: str, attempt: int, hint: float,
                 cap: float = BACKOFF_CAP) -> float:
@@ -78,12 +82,9 @@ class ServeError(RuntimeError):
 class ServeClient:
     """See module docstring."""
 
-    def __init__(self, address: str, *, connect_timeout: float = 30.0,
-                 submit_attempts: int = 40, backoff_cap: float = BACKOFF_CAP):
+    def __init__(self, address: str, *, connect_timeout: float = 30.0):
         self.address = parse_address(address)
         self.connect_timeout = connect_timeout
-        self.submit_attempts = submit_attempts
-        self.backoff_cap = backoff_cap
         self._sock: socket.socket | None = None
         self._file = None
         self._lock = threading.Lock()
@@ -174,7 +175,7 @@ class ServeClient:
         """Submit one program; honors ``overloaded`` backpressure with
         capped exponential backoff over the server's ``retry_after``
         hint, jittered deterministically per request
-        (:func:`retry_delay`), up to ``submit_attempts`` times."""
+        (:func:`retry_delay`), up to :data:`SUBMIT_ATTEMPTS` times."""
         fields = dict(source=source, lang=lang, kind=kind, config=config,
                       prune_k=prune_k, timeout=timeout, unroll=unroll,
                       max_preds=max_preds, lia_budget=lia_budget,
@@ -185,7 +186,7 @@ class ServeClient:
             fields["deadline"] = deadline
         token = request_token(fields)
         last: ServeError | None = None
-        for attempt in range(self.submit_attempts):
+        for attempt in range(SUBMIT_ATTEMPTS):
             try:
                 return self.request("submit", **fields)
             except ServeError as exc:
@@ -193,8 +194,7 @@ class ServeClient:
                     raise
                 last = exc
                 hint = float(exc.response.get("retry_after", 0.1))
-                time.sleep(retry_delay(token, attempt, hint,
-                                       self.backoff_cap))
+                time.sleep(retry_delay(token, attempt, hint))
         raise last if last is not None else ServeError("overloaded")
 
     def status(self, request_id: str) -> dict:

@@ -2,9 +2,8 @@
 
 ``repro fleet`` (see :func:`run_fleet`) is the operational entry point:
 it spawns N ``repro serve`` replica *processes* — each with its own
-warm worker pool, hot tier, and a peer list pointing at the other
-replicas for cross-shard cache peeking — then runs the
-:class:`~repro.serve.router.RouterServer` in the foreground on the
+warm worker pool and hot tier, all sharing one disk cache — then runs
+the :class:`~repro.serve.router.RouterServer` in the foreground on the
 client-facing address.  Draining the router (the ``drain`` verb, or
 SIGTERM) drains every replica before the process exits, so a fleet
 shuts down as cleanly as a single server.
@@ -14,10 +13,10 @@ Replica addresses are *derived* from the router address
 ``port+1..port+N`` for TCP — one flag starts the whole topology, and a
 crashed fleet can be restarted on the same addresses.
 
-:class:`FleetThread` is the in-process twin for tests and benchmarks
-(the fleet analogue of :class:`~repro.serve.server.ServerThread`): N
-:class:`ServerThread` replicas plus a :class:`RouterThread`, all inside
-one interpreter.  The SIGKILL failover test uses subprocess replicas
+:class:`FleetThread` is the in-process twin for tests and benchmarks:
+N server threads plus a router thread
+(:class:`~repro.serve.service.ServiceThread`), all inside one
+interpreter.  The SIGKILL failover test uses subprocess replicas
 via :func:`spawn_replica` instead, because failover is about *process*
 death.
 """
@@ -32,8 +31,9 @@ import time
 from .client import ServeClient, ServeError
 from .hotcache import DEFAULT_HOT_BYTES
 from .protocol import parse_address
-from .router import RouterServer, RouterThread, run_router  # noqa: F401
+from .router import RouterServer, RouterThread
 from .server import ServerThread
+from .service import run_service
 
 
 def replica_addresses(router_address: str, count: int) -> list[str]:
@@ -54,7 +54,6 @@ def spawn_replica(address: str, *, pool_size: int = 1,
                   queue_limit: int = 64, cache_dir: str | None = None,
                   deadline: float | None = None,
                   hot_bytes: int = DEFAULT_HOT_BYTES,
-                  peers: list[str] | None = None,
                   env: dict | None = None,
                   stdout=subprocess.DEVNULL,
                   stderr=subprocess.DEVNULL) -> subprocess.Popen:
@@ -68,9 +67,6 @@ def spawn_replica(address: str, *, pool_size: int = 1,
         cmd += ["--no-cache"]
     if deadline is not None:
         cmd += ["--deadline", str(deadline)]
-    for peer in peers or []:
-        if peer != address:
-            cmd += ["--peer", peer]
     return subprocess.Popen(cmd, env=env or dict(os.environ),
                             stdout=stdout, stderr=stderr)
 
@@ -97,7 +93,7 @@ def run_fleet(address: str, *, replicas: int = 2, pool_size: int = 1,
             procs.append(spawn_replica(
                 shard, pool_size=pool_size, queue_limit=queue_limit,
                 cache_dir=cache_dir, deadline=deadline,
-                hot_bytes=hot_bytes, peers=shard_addrs))
+                hot_bytes=hot_bytes, stderr=None))
         try:
             wait_ready(shard_addrs)
         except (ServeError, OSError) as exc:
@@ -114,7 +110,7 @@ def run_fleet(address: str, *, replicas: int = 2, pool_size: int = 1,
         if vnodes is not None:
             kwargs["vnodes"] = vnodes
         try:
-            run_router(address, shard_addrs, **kwargs)
+            run_service(RouterServer(address, shard_addrs, **kwargs))
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -133,11 +129,10 @@ def run_fleet(address: str, *, replicas: int = 2, pool_size: int = 1,
 
 
 class FleetThread:
-    """An in-process fleet for tests and benchmarks: N
-    :class:`ServerThread` replicas wired as peers of each other, one
-    :class:`RouterThread` in front.  Context-manager enter starts
-    everything ready-to-serve; exit drains the router first (so no new
-    work reaches the shards), then the shards."""
+    """An in-process fleet for tests and benchmarks: N server threads
+    over one cache dir, one router thread in front.  Context-manager
+    enter starts everything ready-to-serve; exit drains the router
+    first (so no new work reaches the shards), then the shards."""
 
     def __init__(self, address: str, *, replicas: int = 2,
                  pool_size: int = 1, queue_limit: int = 64,
@@ -150,8 +145,7 @@ class FleetThread:
         self.servers = [
             ServerThread(shard, pool_size=pool_size,
                          queue_limit=queue_limit, cache_dir=cache_dir,
-                         hot_bytes=hot_bytes, peers=list(self.replica_addrs),
-                         **server_kwargs)
+                         hot_bytes=hot_bytes, **server_kwargs)
             for shard in self.replica_addrs]
         router_kwargs: dict = dict(queue_limit=router_queue_limit,
                                    cache_dir=cache_dir)

@@ -1,8 +1,8 @@
 """Persistent multiprocess worker pool with crash recovery.
 
-The batch sweeps build a ``ProcessPoolExecutor`` per call: every worker
-cold-imports the solver stack, analyzes its share, and is thrown away.
-This pool is the long-lived alternative the analysis server runs on:
+The one process layer of the system: the analysis server
+(`repro.serve.server`) runs every task on this pool, and nothing else
+starts worker processes.
 
 * **Warm workers.**  Each worker is spawned once (``spawn`` start
   method — no inherited locks from the threaded parent), imports the
@@ -27,15 +27,8 @@ This pool is the long-lived alternative the analysis server runs on:
   and blocks until everything already accepted has finished — the
   building block for the server's SIGTERM handling.
 
-* **Priorities.**  :meth:`WorkerPool.submit` takes an integer
-  ``priority`` (lower runs first; default 0).  Equal priorities keep
-  strict FIFO order, so existing callers see the exact old behavior.
-  This is the scheduling hook the incremental CI driver
-  (`repro.core.incremental`) uses to run changed procedures before
-  dependency-dirtied ones, slowest-first within each class.
-
 Threading model: one dispatcher thread per worker slot, all pulling
-from one priority heap under a condition variable.  Results are
+from one FIFO queue under a condition variable.  Results are
 delivered through ``concurrent.futures.Future`` (always ``set_result``
 with a :class:`~repro.core.tasks.TaskResult`; infrastructure failures
 use the same ``failure`` shape as in-task exceptions).
@@ -44,7 +37,6 @@ use the same ``failure`` shape as in-task exceptions).
 from __future__ import annotations
 
 import collections
-import heapq
 import multiprocessing
 import os
 import threading
@@ -89,13 +81,8 @@ class _Item:
     task: AnalysisTask
     future: Future
     deadline: float | None  # absolute time.monotonic(), None = unbounded
-    priority: int = 0       # lower runs first; ties keep FIFO order
-    seq: int = 0            # submission counter, the FIFO tie-breaker
     enqueued: float = field(default_factory=time.monotonic)
     attempts: int = 0
-
-    def heap_key(self) -> tuple[int, int]:
-        return (self.priority, self.seq)
 
 
 class _Slot:
@@ -129,10 +116,7 @@ class WorkerPool:
         self.start_timeout = start_timeout
         self.metrics = metrics  # optional ServerMetrics
         self._cv = threading.Condition()
-        # min-heap of (priority, seq, item): pops the lowest priority
-        # number first, FIFO within a priority level
-        self._items: list[tuple[int, int, _Item]] = []
-        self._seq = 0
+        self._items: collections.deque[_Item] = collections.deque()
         self._busy = 0
         self._closed = False     # no new submits
         self._stopping = False   # dispatcher threads should exit
@@ -173,22 +157,18 @@ class WorkerPool:
         self.close()
 
     def submit(self, task: AnalysisTask,
-               deadline_seconds: float | None = None,
-               priority: int = 0) -> Future:
+               deadline_seconds: float | None = None) -> Future:
         """Enqueue one task; the Future always resolves to a
         :class:`TaskResult` (failures are structured, not raised).
-        ``deadline_seconds`` is relative to now.  ``priority`` orders
-        the queue: lower numbers dispatch first, equal numbers keep
-        FIFO submission order."""
+        ``deadline_seconds`` is relative to now.  Tasks dispatch in
+        submission order."""
         deadline = (time.monotonic() + deadline_seconds
                     if deadline_seconds is not None else None)
         with self._cv:
             if self._closed:
                 raise PoolClosedError("pool is closed to new work")
-            self._seq += 1
-            item = _Item(task=task, future=Future(), deadline=deadline,
-                         priority=priority, seq=self._seq)
-            heapq.heappush(self._items, (*item.heap_key(), item))
+            item = _Item(task=task, future=Future(), deadline=deadline)
+            self._items.append(item)
             self._cv.notify()
         return item.future
 
@@ -215,7 +195,7 @@ class WorkerPool:
         with self._cv:
             self._closed = True
             self._stopping = True
-            pending = [entry[2] for entry in self._items]
+            pending = list(self._items)
             self._items.clear()
             self._cv.notify_all()
         for item in pending:
@@ -316,7 +296,7 @@ class WorkerPool:
         with self._cv:
             while True:
                 while self._items:
-                    item = heapq.heappop(self._items)[2]
+                    item = self._items.popleft()
                     if item.future.cancelled():
                         self._cv.notify_all()
                         continue

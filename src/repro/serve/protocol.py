@@ -21,9 +21,6 @@ result    the finished ``ProgramReport`` (optionally waiting for it)
 metrics   queue depth, in-flight count, latency histograms, counters
 drain     stop accepting, finish everything accepted, then shut down
 ping      liveness probe (also used by clients to wait for startup)
-peek      replica↔replica: look up a cached result by content key
-          (hot tier then disk) without computing — cross-shard cache
-          peeking; never issued by ordinary clients
 topology  router only: the live/dead replica sets and ring geometry
 ========  ==========================================================
 

@@ -4,10 +4,12 @@ One :class:`RouterServer` speaks the same JSON-lines protocol as an
 :class:`~repro.serve.server.AnalysisServer` — ``ping`` / ``submit`` /
 ``status`` / ``result`` / ``metrics`` / ``drain`` (plus ``topology``)
 — so every existing client, including ``repro submit`` and
-:class:`~repro.serve.client.ServeClient`, talks to a fleet unchanged.
-Behind the socket it owns no worker pool; it owns a
-:class:`~repro.serve.hashring.HashRing` over N replica addresses and
-does four things (full design in ``docs/fleet.md``):
+:class:`~repro.serve.client.ServeClient`, talks to a fleet unchanged;
+the socket lifecycle, framing, request table and the shared verbs are
+the same code (`repro.serve.service`).  Behind the socket it owns no
+worker pool; it owns a :class:`~repro.serve.hashring.HashRing` over N
+replica addresses and does four things (full design in
+``docs/fleet.md``):
 
 * **Shard placement.**  Each submission is parsed once and split into
   per-procedure tasks; each task's coalesce key
@@ -45,21 +47,14 @@ owner — never patched together from a dead replica's partial state.
 from __future__ import annotations
 
 import asyncio
-import collections
-import os
-import signal
-import threading
-import time
 
 from ..core.analysis import failure_report
-from ..core.config import BY_NAME
-from ..core.tasks import AnalysisTask
-from .client import request_token, retry_delay
+from ..core.cache import merge_cache_stats
+from .client import SUBMIT_ATTEMPTS, request_token, retry_delay
 from .hashring import DEFAULT_VNODES, HashRing
-from .metrics import ServerMetrics
 from .protocol import MAX_LINE, ProtocolError, decode, encode, error, ok
 from .protocol import parse_address
-from .server import MAX_FINISHED_REQUESTS, _parse, _safe_keys
+from .service import JsonLinesService, Request, ServiceThread, Submission
 
 #: Submission fields forwarded verbatim to the owning replicas (the
 #: router adds its own ``procs`` subset per shard).
@@ -67,314 +62,92 @@ _FORWARD_FIELDS = ("source", "lang", "kind", "config", "prune_k", "timeout",
                    "unroll", "max_preds", "lia_budget", "self_check",
                    "deadline")
 
+#: Reply timeout of one replica ``submit`` (seconds).
+SUBMIT_TIMEOUT = 300.0
+
 
 class ReplicaDeadError(RuntimeError):
     """A replica could not be reached or died mid-conversation."""
 
 
-class _RouterRequest:
-    """Router-side state of one accepted submission."""
+class _RouterRequest(Request):
+    """A request plus what the router gathers from its shards."""
 
-    def __init__(self, req_id: str, kind: str, config_name: str,
-                 prune_k, proc_names: list[str], keys: list[str]):
-        self.id = req_id
-        self.kind = kind
-        self.config_name = config_name
-        self.prune_k = prune_k
-        self.proc_names = proc_names
-        self.keys = keys  # per-proc coalesce keys, for failover re-hash
-        self.slots: list = [None] * len(proc_names)
-        self.done = 0
-        self.state = "queued"  # queued -> running -> done
-        self.accepted_at = time.monotonic()
-        self.event = asyncio.Event()
-        self.report_json: dict | None = None
-        self.n_failures = 0
+    def __init__(self, req_id: str, sub: Submission):
+        super().__init__(req_id, sub)
         self.cons_timeouts = 0
         self.cache_stats: list[dict] = []
         self.shards_used: set[str] = set()
         self.failovers = 0
 
+    def result_fields(self) -> dict:
+        return {"shards": sorted(self.shards_used),
+                "failovers": self.failovers}
 
-class RouterServer:
+
+class RouterServer(JsonLinesService):
     """See module docstring."""
+
+    role = "router"
+    id_prefix = "r"
+    request_class = _RouterRequest
 
     def __init__(self, address: str, replicas: list[str], *,
                  queue_limit: int = 128, default_deadline: float | None = None,
                  cache_dir: str | None = None, vnodes: int = DEFAULT_VNODES,
-                 submit_attempts: int = 40, backoff_cap: float = 5.0,
-                 submit_timeout: float = 300.0,
                  drain_replicas: bool = False):
         if not replicas:
             raise ValueError("a fleet needs at least one replica")
-        self.address = parse_address(address)
-        self.address_spec = address
-        self.queue_limit = queue_limit
-        self.default_deadline = default_deadline
-        self.cache_dir = str(cache_dir) if cache_dir else None
-        self.submit_attempts = submit_attempts
-        self.backoff_cap = backoff_cap
-        self.submit_timeout = submit_timeout
+        super().__init__(address, queue_limit=queue_limit,
+                         cache_dir=cache_dir,
+                         default_deadline=default_deadline)
         self.drain_replicas = drain_replicas
         self.ring = HashRing(replicas, vnodes=vnodes)
-        self.replicas = list(replicas)
-        self.metrics = ServerMetrics()
         self._dead: dict[str, str] = {}  # address -> reason
-        self._requests: collections.OrderedDict[str, _RouterRequest] = \
-            collections.OrderedDict()
-        self._next_id = 0
-        self._live = 0  # requests not yet done (admission gauge)
-        self._accepting = False
-        self._server: asyncio.AbstractServer | None = None
-        self._closed = asyncio.Event()
-        self._draining = False
-        self._loop: asyncio.AbstractEventLoop | None = None
-        # strong refs to fire-and-forget group tasks: the event loop only
-        # holds weak ones, and a GC'd task silently strands its request
-        self._group_tasks: set[asyncio.Task] = set()
+        self._verbs["topology"] = self._op_topology
 
-    def _spawn(self, coro) -> asyncio.Task:
-        task = asyncio.ensure_future(coro)
-        self._group_tasks.add(task)
-        task.add_done_callback(self._group_tasks.discard)
-        return task
-
-    # ------------------------------------------------------------------
-    # lifecycle (mirrors AnalysisServer)
-    # ------------------------------------------------------------------
-
-    async def start(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        if self.address[0] == "unix":
-            path = self.address[1]
-            if os.path.exists(path):
-                os.unlink(path)
-            self._server = await asyncio.start_unix_server(
-                self._handle_conn, path=path, limit=MAX_LINE)
-        else:
-            _, host, port = self.address
-            self._server = await asyncio.start_server(
-                self._handle_conn, host=host, port=port, limit=MAX_LINE)
-        self._accepting = True
-
-    def install_signal_handlers(self) -> None:
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(
-                sig, lambda: asyncio.ensure_future(self.shutdown()))
-
-    async def wait_closed(self) -> None:
-        await self._closed.wait()
-
-    async def shutdown(self) -> None:
-        """Drain: refuse new work, finish every accepted request, then
-        (with ``drain_replicas``) drain the whole fleet."""
-        if self._draining:
-            await self._closed.wait()
+    async def _close(self) -> None:
+        """With ``drain_replicas``, drain the whole fleet."""
+        if not self.drain_replicas:
             return
-        self._draining = True
-        self._accepting = False
-        for req in [r for r in self._requests.values() if r.state != "done"]:
-            await req.event.wait()
-        if self.drain_replicas:
-            for spec in self.ring.shards():
-                try:
-                    await self._replica_call(spec, {"op": "drain"},
-                                             timeout=600.0)
-                except ReplicaDeadError:
-                    pass  # already gone is drained enough
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self.address[0] == "unix":
+        for spec in self.ring.shards():
             try:
-                os.unlink(self.address[1])
-            except OSError:
-                pass
-        self._closed.set()
-
-    def request_shutdown_threadsafe(self) -> None:
-        if self._loop is None:
-            return
-        try:
-            self._loop.call_soon_threadsafe(
-                lambda: asyncio.ensure_future(self.shutdown()))
-        except RuntimeError:
-            pass
-
-    # ------------------------------------------------------------------
-    # connection handling
-    # ------------------------------------------------------------------
-
-    async def _handle_conn(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    writer.write(encode(error(
-                        "too_large", f"frame exceeds {MAX_LINE} bytes")))
-                    await writer.drain()
-                    break
-                if not line:
-                    break
-                t0 = time.monotonic()
-                verb = "?"
-                try:
-                    msg = decode(line)
-                    verb = str(msg.get("op", "?"))
-                    resp = await self._dispatch(verb, msg)
-                except ProtocolError as exc:
-                    resp = error("bad_request", str(exc))
-                except Exception as exc:  # noqa: BLE001 — keep serving
-                    resp = error("internal", f"{type(exc).__name__}: {exc}")
-                self.metrics.observe_verb(verb, time.monotonic() - t0)
-                writer.write(encode(resp))
-                await writer.drain()
-                if verb == "drain" and resp.get("ok"):
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-
-    async def _dispatch(self, verb: str, msg: dict) -> dict:
-        if verb == "ping":
-            return ok(pong=True, draining=self._draining, role="router",
-                      replicas=len(self.ring))
-        if verb == "submit":
-            return await self._op_submit(msg)
-        if verb == "status":
-            return self._op_status(msg)
-        if verb == "result":
-            return await self._op_result(msg)
-        if verb == "metrics":
-            return await self._op_metrics()
-        if verb == "topology":
-            return self._op_topology()
-        if verb == "drain":
-            return await self._op_drain()
-        return error("bad_request", f"unknown verb {verb!r}")
+                await self._replica_call(spec, {"op": "drain"},
+                                         timeout=600.0)
+            except ReplicaDeadError:
+                pass  # already gone is drained enough
 
     # ------------------------------------------------------------------
     # verbs
     # ------------------------------------------------------------------
 
-    async def _op_submit(self, msg: dict) -> dict:
-        if not self._accepting:
-            self.metrics.inc("requests_rejected")
-            return error("draining", "router is draining; resubmit elsewhere")
+    async def _op_ping(self, msg: dict) -> dict:
+        return ok(pong=True, draining=self._draining, role="router",
+                  replicas=len(self.ring))
+
+    def _refusal(self) -> dict | None:
         if self._live >= self.queue_limit:
-            self.metrics.inc("requests_rejected")
             return error("overloaded",
                          f"{self._live} requests in flight "
-                         f"(limit {self.queue_limit})",
-                         retry_after=0.25)
+                         f"(limit {self.queue_limit})", retry_after=0.25)
         if not self.ring:
-            self.metrics.inc("requests_rejected")
             return error("no_replicas", "every replica is dead")
+        return None
 
-        kind = msg.get("kind", "analyze")
-        if kind not in ("analyze", "cons"):
-            return error("bad_request", f"unknown kind {kind!r}")
-        config_name = msg.get("config", "Conc")
-        if config_name not in BY_NAME:
-            return error("bad_request", f"unknown config {config_name!r}")
-        source = msg.get("source")
-        if not isinstance(source, str):
-            return error("bad_request", "submit needs a string 'source'")
-        lang = msg.get("lang", "boogie")
-        unroll = int(msg.get("unroll", 2))
-        try:
-            program = await asyncio.to_thread(_parse, source, lang, unroll)
-        except (SyntaxError, TypeError, ValueError) as exc:
-            return error("bad_request", f"parse failed: {exc}")
-        proc_names = msg.get("procs")
-        if proc_names is None:
-            proc_names = [n for n, p in program.procedures.items()
-                          if p.body is not None]
-        else:
-            missing = [n for n in proc_names if n not in program.procedures]
-            if missing:
-                return error("bad_request", f"no such procedures: {missing}")
-        deadline = msg.get("deadline", self.default_deadline)
-        deadline = float(deadline) if deadline is not None else None
-
-        prune_k = msg.get("prune_k")
-        tasks = [AnalysisTask(
-            kind=kind, proc_name=name, program=program,
-            config_name=config_name, prune_k=prune_k,
-            timeout=msg.get("timeout", 10.0), unroll_depth=unroll,
-            max_preds=int(msg.get("max_preds", 12)),
-            lia_budget=int(msg.get("lia_budget", 20000)),
-            cache_dir=self.cache_dir,
-            self_check=bool(msg.get("self_check", False)))
-            for name in proc_names]
-        keys = await asyncio.to_thread(
-            lambda: [_safe_keys(t)[0] for t in tasks])
-
-        self._next_id += 1
-        req = _RouterRequest(f"r{self._next_id}", kind, config_name,
-                             prune_k, list(proc_names), keys)
-        self._requests[req.id] = req
-        self._live += 1
-        while len(self._requests) > MAX_FINISHED_REQUESTS:
-            oldest = next(iter(self._requests))
-            if self._requests[oldest].state != "done":
-                break  # never evict live requests
-            self._requests.pop(oldest)
-
+    def _schedule(self, req: _RouterRequest, sub: Submission,
+                  msg: dict) -> dict:
         fields = {k: msg[k] for k in _FORWARD_FIELDS if k in msg}
-        if deadline is not None:
-            fields["deadline"] = deadline
+        if sub.deadline is not None:
+            fields["deadline"] = sub.deadline
         groups: dict[str, list[int]] = {}
-        for idx, key in enumerate(keys):
+        for idx, key in enumerate(sub.keys):
             groups.setdefault(self.ring.owner(key), []).append(idx)
         for shard, idxs in groups.items():
             self._spawn(self._run_group(req, shard, idxs, fields))
-        if tasks:
-            req.state = "running"
-        else:
-            self._finalize(req)  # zero procedures: an empty report
-        self.metrics.inc("requests_accepted")
-        self.metrics.inc("procs_submitted", len(tasks))
         self.metrics.inc("shard_submissions", len(groups))
-        return ok(id=req.id, procs=list(proc_names), shards=len(groups))
+        return {"shards": len(groups)}
 
-    def _op_status(self, msg: dict) -> dict:
-        req = self._requests.get(str(msg.get("id")))
-        if req is None:
-            return error("unknown_request", f"no request {msg.get('id')!r}")
-        return ok(id=req.id, state=req.state, done=req.done,
-                  total=len(req.proc_names))
-
-    async def _op_result(self, msg: dict) -> dict:
-        req = self._requests.get(str(msg.get("id")))
-        if req is None:
-            return error("unknown_request", f"no request {msg.get('id')!r}")
-        if msg.get("wait", True) and req.state != "done":
-            timeout = msg.get("timeout")
-            try:
-                await asyncio.wait_for(
-                    req.event.wait(),
-                    float(timeout) if timeout is not None else None)
-            except asyncio.TimeoutError:
-                return error("pending", "request still running",
-                             id=req.id, done=req.done,
-                             total=len(req.proc_names))
-        if req.state != "done":
-            return error("pending", "request still running", id=req.id,
-                         done=req.done, total=len(req.proc_names))
-        return ok(id=req.id, kind=req.kind, report=req.report_json,
-                  failures=req.n_failures, shards=sorted(req.shards_used),
-                  failovers=req.failovers)
-
-    async def _op_metrics(self) -> dict:
+    async def _op_metrics(self, msg: dict) -> dict:
         shards: dict[str, dict | None] = {}
         for spec in self.ring.shards():
             try:
@@ -387,15 +160,9 @@ class RouterServer:
         snap["shards"] = shards
         return ok(metrics=snap)
 
-    def _op_topology(self) -> dict:
+    async def _op_topology(self, msg: dict) -> dict:
         return ok(role="router", vnodes=self.ring.vnodes,
                   alive=self.ring.shards(), dead=dict(self._dead))
-
-    async def _op_drain(self) -> dict:
-        await self.shutdown()
-        counters = self.metrics.snapshot().get("counters", {})
-        return ok(drained=True,
-                  completed=counters.get("requests_completed", 0))
 
     # ------------------------------------------------------------------
     # scatter / gather / failover
@@ -434,15 +201,15 @@ class RouterServer:
                     entry = _failure_entry(
                         name, req.config_name, "router",
                         f"replica {shard} returned no report for {name!r}")
-                self._deliver(req, i, entry)
+                self._fill(req, i, entry)
         else:
             warnings = report.get("warnings", {})
             failures = report.get("failures", {})
             req.cons_timeouts += int(report.get("timeouts", 0))
             for i in idxs:
                 name = req.proc_names[i]
-                self._deliver(req, i, {"warnings": warnings.get(name, []),
-                                       "failure": failures.get(name)})
+                self._fill(req, i, {"warnings": warnings.get(name, []),
+                                    "failure": failures.get(name)})
 
     def _fail_over(self, req: _RouterRequest, shard: str, idxs: list[int],
                    fields: dict, exc: ReplicaDeadError) -> None:
@@ -460,7 +227,7 @@ class RouterServer:
                     entry = {"warnings": [],
                              "failure": {"type": "replica_lost",
                                          "message": str(exc)}}
-                self._deliver(req, i, entry)
+                self._fill(req, i, entry)
             return
         req.failovers += len(idxs)
         self.metrics.inc("failover_resubmits", len(idxs))
@@ -477,43 +244,24 @@ class RouterServer:
         self._dead[shard] = reason
         self.metrics.inc("replica_failures")
 
-    def _deliver(self, req: _RouterRequest, idx: int, entry) -> None:
-        if req.slots[idx] is not None:
-            return
-        req.slots[idx] = entry
-        req.done += 1
-        if req.done == len(req.proc_names):
-            self._finalize(req)
-
-    def _finalize(self, req: _RouterRequest) -> None:
-        from ..core.cache import merge_cache_stats
+    def _assemble(self, req: _RouterRequest) -> tuple[dict, int]:
+        """Reassemble the shards' wire entries in submission order."""
         if req.kind == "analyze":
-            req.n_failures = sum(1 for e in req.slots if e.get("failed"))
-            req.report_json = {
-                "config_name": req.config_name,
-                "prune_k": req.prune_k,
-                "cache_stats": merge_cache_stats(req.cache_stats),
-                "reports": list(req.slots),
-            }
-        else:
-            warnings: dict[str, list] = {}
-            failures: dict[str, dict] = {}
-            for name, entry in zip(req.proc_names, req.slots):
-                warnings[name] = entry["warnings"]
-                if entry.get("failure"):
-                    failures[name] = dict(entry["failure"])
-            req.n_failures = len(failures)
-            req.report_json = {
-                "kind": "cons", "warnings": warnings,
-                "timeouts": req.cons_timeouts, "failures": failures,
-                "cache_stats": merge_cache_stats(req.cache_stats),
-            }
-        req.state = "done"
-        self._live -= 1
-        self.metrics.inc("requests_completed")
-        self.metrics.request_latency.observe(
-            time.monotonic() - req.accepted_at)
-        req.event.set()
+            return ({"config_name": req.config_name,
+                     "prune_k": req.prune_k,
+                     "cache_stats": merge_cache_stats(req.cache_stats),
+                     "reports": list(req.slots)},
+                    sum(1 for e in req.slots if e.get("failed")))
+        warnings: dict[str, list] = {}
+        failures: dict[str, dict] = {}
+        for name, entry in zip(req.proc_names, req.slots):
+            warnings[name] = entry["warnings"]
+            if entry.get("failure"):
+                failures[name] = dict(entry["failure"])
+        return ({"kind": "cons", "warnings": warnings,
+                 "timeouts": req.cons_timeouts, "failures": failures,
+                 "cache_stats": merge_cache_stats(req.cache_stats)},
+                len(failures))
 
     # ------------------------------------------------------------------
     # replica RPC
@@ -526,9 +274,9 @@ class RouterServer:
         router validated the request already, so a healthy replica
         cannot legitimately refuse it)."""
         token = request_token(msg)
-        for attempt in range(self.submit_attempts):
+        for attempt in range(SUBMIT_ATTEMPTS):
             resp = await self._replica_call(
-                shard, {"op": "submit", **msg}, timeout=self.submit_timeout)
+                shard, {"op": "submit", **msg}, timeout=SUBMIT_TIMEOUT)
             if resp.get("ok"):
                 return resp
             code = resp.get("error")
@@ -538,11 +286,10 @@ class RouterServer:
                     f"{resp.get('message', '')}")
             hint = float(resp.get("retry_after", 0.1))
             self.metrics.inc("shard_backpressure")
-            await asyncio.sleep(retry_delay(token, attempt, hint,
-                                            self.backoff_cap))
+            await asyncio.sleep(retry_delay(token, attempt, hint))
         raise ReplicaDeadError(
             f"replica {shard} still overloaded after "
-            f"{self.submit_attempts} attempts")
+            f"{SUBMIT_ATTEMPTS} attempts")
 
     async def _replica_call(self, shard: str, msg: dict,
                             timeout: float | None) -> dict:
@@ -601,51 +348,7 @@ def _failure_entry(name: str, config_name: str, type_: str,
                                  {"type": type_, "message": message}))
 
 
-# ----------------------------------------------------------------------
-# embedding helpers (mirror server.run_server / ServerThread)
-# ----------------------------------------------------------------------
-
-async def _amain(router: RouterServer, ready: threading.Event | None,
-                 signals: bool) -> None:
-    await router.start()
-    if signals:
-        router.install_signal_handlers()
-    if ready is not None:
-        ready.set()
-    await router.wait_closed()
-
-
-def run_router(address: str, replicas: list[str], **kwargs) -> None:
-    """Blocking entry point: route until a ``drain`` verb or
-    SIGTERM/SIGINT, then exit cleanly."""
-    router = RouterServer(address, replicas, **kwargs)
-    asyncio.run(_amain(router, None, signals=True))
-
-
-class RouterThread:
-    """An in-process router for tests and benchmarks (the fleet twin of
-    :class:`~repro.serve.server.ServerThread`)."""
-
-    def __init__(self, address: str, replicas: list[str], **kwargs):
-        self.router = RouterServer(address, replicas, **kwargs)
-        self._ready = threading.Event()
-        self._thread = threading.Thread(
-            target=lambda: asyncio.run(
-                _amain(self.router, self._ready, signals=False)),
-            name="router-thread", daemon=True)
-
-    def start(self, timeout: float = 60.0) -> "RouterThread":
-        self._thread.start()
-        if not self._ready.wait(timeout):
-            raise TimeoutError("router thread did not become ready")
-        return self
-
-    def stop(self, timeout: float = 120.0) -> None:
-        self.router.request_shutdown_threadsafe()
-        self._thread.join(timeout)
-
-    def __enter__(self) -> "RouterThread":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+def RouterThread(address: str, replicas: list[str],
+                 **kwargs) -> ServiceThread:
+    """An in-process :class:`RouterServer` on a background thread."""
+    return ServiceThread(RouterServer(address, replicas, **kwargs))

@@ -1,14 +1,15 @@
 """One raising procedure must become a structured failure entry, not
 abort the sweep — the batch twin of the server's error path (both go
-through ``repro.core.tasks.run_task``)."""
-
-import multiprocessing
+through ``repro.core.tasks.run_task`` and
+``repro.core.analysis.assemble_results``)."""
 
 import pytest
 
-from repro.core import CONC, analyze_program, conservative_program
+from repro.core import (CONC, AnalysisTask, analyze_program,
+                        assemble_results, conservative_program)
 from repro.core.analysis import failure_report
 from repro.lang import parse_program, typecheck
+from repro.serve.pool import WorkerPool
 
 TWO_PROCS_BPL = """
 procedure good(x: int) returns (r: int)
@@ -66,17 +67,20 @@ class TestAnalyzeFailureContainment:
         # avg over the one non-failed report, not 2
         assert rep.avg("seconds") == rep.reports[0].seconds
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="monkeypatch only propagates into fork-started workers")
-    def test_failure_entries_survive_the_process_pool(self, program,
-                                                      exploding_sibs):
-        serial = analyze_program(program, config=CONC,
-                                 proc_names=["good", "boom"])
-        parallel = analyze_program(program, config=CONC,
-                                   proc_names=["good", "boom"], jobs=2)
-        assert parallel.n_failures == serial.n_failures == 1
-        assert parallel.reports[1].failure == serial.reports[1].failure
+    def test_failure_entries_survive_the_process_pool(self, program):
+        # A fault that happens in a spawned worker too (a monkeypatch
+        # would not reach it): a procedure the program does not have.
+        names = ["good", "missing"]
+        serial = analyze_program(program, config=CONC, proc_names=names)
+        with WorkerPool(workers=2) as pool:
+            futures = [pool.submit(AnalysisTask(
+                kind="analyze", proc_name=name, program=program))
+                for name in names]
+            pooled = assemble_results(
+                "analyze", [f.result(timeout=300) for f in futures])
+        assert pooled.n_failures == serial.n_failures == 1
+        assert pooled.reports[1].failure == serial.reports[1].failure
+        assert pooled.reports[1].failure["type"] == "KeyError"
 
 
 class TestConservativeFailureContainment:

@@ -4,8 +4,8 @@ Correctness bar: a warm sweep must be *bit-identical* to the cold sweep
 that populated the cache (full ``ProcedureReport`` equality — a hit
 returns the stored report verbatim); every fingerprinted knob must
 change the content address; corruption of any record must degrade to a
-miss, never a crash; and a cache shared by ``jobs=2`` workers must give
-the same answers as a serial sweep.
+miss, never a crash; and a cache shared by the processes of a 2-worker
+pool must give the same answers as a serial sweep.
 """
 
 import json
@@ -13,10 +13,12 @@ from dataclasses import fields, replace
 
 from repro.bench import compile_suite, make_suite
 from repro.cli import run as cli_run
-from repro.core import (CONC, A1, A2, AnalysisCache, analyze_procedure,
-                        analyze_program, conservative_program)
+from repro.core import (CONC, A1, A2, AnalysisCache, AnalysisTask,
+                        analyze_procedure, analyze_program, assemble_results,
+                        conservative_program)
 from repro.lang import parse_program, typecheck
 from repro.lang.transform import prepare_procedure
+from repro.serve.pool import WorkerPool
 
 # wall-clock fields, excluded only where a result was *recomputed*
 # (after corruption); pure warm hits are compared with full equality
@@ -235,37 +237,40 @@ def test_unknown_report_field_is_a_miss(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# shared cache under jobs > 1
+# shared cache across worker processes
 # ----------------------------------------------------------------------
+
+def _pool_sweep(pool, kind, program, names, cache_dir):
+    """One sweep on ``pool``, assembled exactly like the batch sweeps."""
+    futures = [pool.submit(AnalysisTask(kind=kind, proc_name=name,
+                                        program=program,
+                                        cache_dir=cache_dir))
+               for name in names]
+    return assemble_results(kind, [f.result(timeout=300) for f in futures])
+
 
 def test_parallel_shared_cache_equals_serial(tmp_path):
     program, names = _program()
     serial = analyze_program(program, config=CONC, proc_names=names)
-    parallel = analyze_program(program, config=CONC, proc_names=names,
-                               jobs=2, cache_dir=str(tmp_path))
-    assert _stable(parallel.reports) == _stable(serial.reports)
-    assert parallel.cache_stats["stores"] == len(names)
-    warm = analyze_program(program, config=CONC, proc_names=names,
-                           jobs=2, cache_dir=str(tmp_path))
-    assert warm.reports == parallel.reports
+    with WorkerPool(workers=2) as pool:
+        cold = _pool_sweep(pool, "analyze", program, names, str(tmp_path))
+        warm = _pool_sweep(pool, "analyze", program, names, str(tmp_path))
+    assert _stable(cold.reports) == _stable(serial.reports)
+    assert cold.cache_stats["stores"] == len(names)
+    assert warm.reports == cold.reports
     assert warm.cache_stats["hits"] == len(names)
 
 
 def test_parallel_conservative_shared_cache(tmp_path):
     program, names = _program()
     serial = conservative_program(program, proc_names=names)
-    stats: dict = {}
-    parallel = conservative_program(program, proc_names=names, jobs=2,
-                                    cache_dir=str(tmp_path),
-                                    cache_stats_out=stats)
-    assert parallel == serial
-    assert stats["stores"] == len(names)
-    warm_stats: dict = {}
-    warm = conservative_program(program, proc_names=names, jobs=2,
-                                cache_dir=str(tmp_path),
-                                cache_stats_out=warm_stats)
-    assert warm == serial
-    assert warm_stats["hits"] == len(names)
+    with WorkerPool(workers=2) as pool:
+        cold = _pool_sweep(pool, "cons", program, names, str(tmp_path))
+        warm = _pool_sweep(pool, "cons", program, names, str(tmp_path))
+    assert (cold["warnings"], cold["timeouts"]) == serial
+    assert cold["cache_stats"]["stores"] == len(names)
+    assert (warm["warnings"], warm["timeouts"]) == serial
+    assert warm["cache_stats"]["hits"] == len(names)
 
 
 # ----------------------------------------------------------------------

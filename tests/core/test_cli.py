@@ -121,3 +121,15 @@ class TestCli:
         assert code == 1
         assert "[DOOMED]" in text and "[HIGH" in text
         assert text.index("DOOMED") < text.index("HIGH")
+
+    @pytest.mark.parametrize("argv", [
+        ["--jobs", "2", "{file}"],
+        ["ci", "--jobs", "2", "{dir}"],
+        ["serve", "--socket", "{dir}/s.sock", "--peer", "{dir}/p.sock"],
+        ["serve", "--socket", "{dir}/s.sock", "--no-coalesce"],
+    ])
+    def test_removed_flags_exit_2(self, fig1_file, tmp_path, argv):
+        argv = [a.format(file=fig1_file, dir=tmp_path) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2

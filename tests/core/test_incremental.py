@@ -1,6 +1,6 @@
 """Incremental CI mode (`repro.core.incremental`): multi-file ingest,
 dependency-aware dirty-set planning, manifest round-trips, rename cache
-hits, priority scheduling, and the warning delta.
+hits, schedule ordering, and the warning delta.
 
 Everything runs on the committed fixture repository
 (``tests/fixtures/ci_repo``): Release (spec'd callee, alloc.bpl),
@@ -216,23 +216,6 @@ class TestRunCi:
         assert rerun.plan.removed == ["Buggy"]
         assert "Buggy:A5" in rerun.delta["high"]["fixed"]
         assert rerun.delta["high"]["new"] == []
-
-
-class TestPoolExecution:
-    def test_jobs_parallel_matches_serial(self, tmp_path):
-        """jobs>1 routes the dirty set through the serve layer's
-        priority WorkerPool; results are identical to the serial path
-        modulo wall clocks."""
-        repo = make_repo(tmp_path)
-        serial = run_ci(repo, tmp_path / "m1.json")
-        pooled = run_ci(repo, tmp_path / "m2.json", jobs=2)
-
-        def stable(manifest):
-            return {n: {k: v for k, v in e.items() if k != "wall"}
-                    for n, e in manifest["procedures"].items()}
-
-        assert stable(serial.manifest) == stable(pooled.manifest)
-        assert render_delta(serial.delta) == render_delta(pooled.delta)
 
 
 class TestRenameCacheHit:

@@ -15,8 +15,7 @@ from repro.lang.pretty import pp_program
 
 
 def test_short_campaign_is_clean(tmp_path):
-    result = run_campaign(seed=0, iterations=8, corpus_dir=tmp_path,
-                          jobs_every=0)
+    result = run_campaign(seed=0, iterations=8, corpus_dir=tmp_path)
     assert result.ok, (result.disagreements, result.certificate_failures)
     assert result.executed["roundtrip"] == 8
     # the heavyweight rotation covered every oracle at least once
@@ -27,7 +26,7 @@ def test_short_campaign_is_clean(tmp_path):
 
 def test_focused_campaign_runs_only_the_named_oracle(tmp_path):
     result = run_campaign(seed=0, iterations=3, corpus_dir=tmp_path,
-                          jobs_every=0, only="theory_justifications")
+                          only="theory_justifications")
     assert result.ok, (result.disagreements, result.certificate_failures)
     assert result.executed == {"theory_justifications": 3}
     assert not list(tmp_path.iterdir())

@@ -1,7 +1,7 @@
 """The server must be invisible in the results: a fig5 suite swept
-through a warm daemon (coalescing on) is bit-identical — modulo
-wall-clock fields — to the batch ``analyze_program(jobs=2)`` sweep of
-the same program."""
+through a warm two-worker daemon (coalescing on) is bit-identical —
+modulo wall-clock fields — to the serial batch ``analyze_program``
+sweep of the same program."""
 
 from dataclasses import fields
 
@@ -26,14 +26,13 @@ def suite():
     return make_suite("moufilter", scale=0.5)
 
 
-def test_server_sweep_equals_batch_parallel_sweep(tmp_path, suite):
+def test_server_sweep_equals_batch_serial_sweep(tmp_path, suite):
     names = [f.name for f in suite.functions]
     program = compile_suite(suite)
-    batch = analyze_program(program, config=CONC, proc_names=names, jobs=2)
+    batch = analyze_program(program, config=CONC, proc_names=names)
 
     sock = str(tmp_path / "s.sock")
-    with ServerThread(sock, pool_size=2, queue_limit=32) as st:
-        assert st.server.coalesce
+    with ServerThread(sock, pool_size=2, queue_limit=32):
         with ServeClient(sock) as client:
             served = client.analyze(suite.c_source, lang="c", procs=names)
             # Resubmitting the identical sweep must not change anything

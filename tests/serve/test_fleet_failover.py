@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import CONC, analyze_program
-from repro.core.tasks import AnalysisTask, task_keys
+from repro.core.tasks import AnalysisTask, coalesce_key
 from repro.lang import parse_program, typecheck
 from repro.serve import ServeClient
 from repro.serve.fleet import replica_addresses, spawn_replica, wait_ready
@@ -74,7 +74,7 @@ def fleet(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("failover")
     router_sock = str(tmp / "router.sock")
     shards = replica_addresses(router_sock, 2)
-    procs = [spawn_replica(s, pool_size=1, peers=shards, env=_env())
+    procs = [spawn_replica(s, pool_size=1, env=_env())
              for s in shards]
     try:
         wait_ready(shards, timeout=180)
@@ -106,12 +106,12 @@ def test_sanity_analyze_through_subprocess_fleet(fleet):
 
 def test_sigkill_replica_mid_request_failover(fleet):
     router_thread, procs, shards, router_sock = fleet
-    ring = router_thread.router.ring
+    ring = router_thread.server.ring
 
     # A cold program, and the shard that provably owns part of it.
     src = _program_src("Cold", 4)
     program = typecheck(parse_program(src))
-    key, _ = task_keys(AnalysisTask(kind="analyze", proc_name="Cold0",
+    key = coalesce_key(AnalysisTask(kind="analyze", proc_name="Cold0",
                                     program=program))
     victim = ring.owner(key)
     victim_idx = shards.index(victim)
@@ -137,8 +137,8 @@ def test_sigkill_replica_mid_request_failover(fleet):
     assert _stable(served) == _stable(batch)
 
     # The router buried the replica and re-homed its keyspace.
-    assert victim in router_thread.router._dead
-    counters = router_thread.router.metrics.snapshot()["counters"]
+    assert victim in router_thread.server._dead
+    counters = router_thread.server.metrics.snapshot()["counters"]
     assert counters.get("replica_failures", 0) >= 1
     assert counters.get("failover_resubmits", 0) >= 1
     survivors = ring.shards()

@@ -97,29 +97,8 @@ class TestDeadlines:
         assert pool.counters()["retries"] == 0
 
 
-class TestPriorities:
-    def test_lower_priority_number_dispatches_first(self, pool):
-        # Park the single worker, then enqueue interleaved priorities:
-        # rank 0 must dispatch before rank 5, FIFO within each rank.
-        order = []
-        blocker = pool.submit(_sleep(0.4))
-        deadline = time.monotonic() + 10
-        while pool.in_flight() == 0:
-            assert time.monotonic() < deadline
-            time.sleep(0.01)
-        futs = []
-        for payload, prio in [("low1", 5), ("hi1", 0),
-                              ("low2", 5), ("hi2", 0)]:
-            fut = pool.submit(_echo(payload), priority=prio)
-            fut.add_done_callback(
-                lambda f: order.append(f.result().value))
-            futs.append(fut)
-        for fut in futs:
-            fut.result(timeout=30)
-        blocker.result(timeout=30)
-        assert order == ["hi1", "hi2", "low1", "low2"]
-
-    def test_default_priority_keeps_fifo(self, pool):
+class TestFifo:
+    def test_queue_dispatches_in_submission_order(self, pool):
         blocker = pool.submit(_sleep(0.3))
         deadline = time.monotonic() + 10
         while pool.in_flight() == 0:

@@ -1,18 +1,19 @@
 """Fleet router tests, all in-process (:class:`FleetThread`): shard
-routing, cross-client twin coalescing at one shard, the hot tier and
-the ``peek`` verb, report parity with batch, and thread-level failover
-(replica drained out from under the router).  Process-death failover
+routing, cross-client twin coalescing at one shard, the hot tier,
+report parity with batch, thread-level failover (replica drained out
+from under the router) and clean shutdown.  Process-death failover
 lives in ``test_fleet_failover.py``."""
 
-import time
+import logging
 from dataclasses import fields
 
 import pytest
 
 from repro.core import CONC, analyze_program, conservative_program
-from repro.core.tasks import AnalysisTask, task_keys
+from repro.core.tasks import AnalysisTask, coalesce_key
 from repro.lang import parse_program, typecheck
-from repro.serve import FleetThread, ServeClient, ServeError
+from repro.serve import (FleetThread, RouterThread, ServeClient,
+                         ServeError)
 
 FIG1_BPL = """
 var Freed: [int]int;
@@ -182,30 +183,6 @@ class TestCoalescingAndHotTier:
         assert _replica_counter(fleet, "hot_hits") == before + 1
         assert not rep.reports[0].failed
 
-    def test_peek_verb_answers_from_hot_tier(self, fleet):
-        src = FIG1_BPL.replace("Foo", "PeekProbe").replace(
-            "cmd == 0", "cmd == 43")
-        with fleet.client() as c:
-            c.analyze(src)
-        program = typecheck(parse_program(src))
-        task = AnalysisTask(kind="analyze", proc_name="PeekProbe",
-                            program=program)
-        key, cache_key = task_keys(task)
-        found = []
-        for shard in fleet.replica_addrs:
-            with ServeClient(shard) as sc:
-                resp = sc.request("peek", key=key, cache_key=cache_key)
-                found.append(resp["found"])
-        # exactly the owning shard holds it hot
-        assert found.count(True) == 1
-        winner = fleet.replica_addrs[found.index(True)]
-        assert winner == fleet.router.router.ring.owner(key)
-
-    def test_peek_miss_is_clean(self, fleet):
-        with ServeClient(fleet.replica_addrs[0]) as sc:
-            resp = sc.request("peek", key="no-such-key", cache_key=None)
-        assert resp["found"] is False
-
 
 class TestThreadFailover:
     """Replica loss while the fleet is up: drain one ServerThread out
@@ -229,9 +206,9 @@ class TestThreadFailover:
             # Kill the shard that provably owns p0's keyspace, so the
             # next submission must hit the dead replica and fail over.
             program = typecheck(parse_program(MANY_PROCS_BPL))
-            key, _ = task_keys(AnalysisTask(
+            key = coalesce_key(AnalysisTask(
                 kind="analyze", proc_name="p0", program=program))
-            router = lossy_fleet.router.router
+            router = lossy_fleet.router.server
             victim = router.ring.owner(key)
             victim_idx = lossy_fleet.replica_addrs.index(victim)
             lossy_fleet.servers[victim_idx].stop()  # drain + socket gone
@@ -256,3 +233,17 @@ class TestThreadFailover:
             with pytest.raises(ServeError) as exc:
                 c.submit(MANY_PROCS_BPL)
             assert exc.value.code == "no_replicas"
+
+
+def test_router_stop_with_a_connected_client_is_clean(tmp_path, caplog):
+    # The router shares the server's shutdown: live client connections
+    # are closed before its event loop exits (see test_server.py).
+    sock = str(tmp_path / "router.sock")
+    rt = RouterThread(sock, [str(tmp_path / "absent.sock")]).start()
+    with ServeClient(sock) as c:
+        assert c.ping()["role"] == "router"
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            rt.stop()
+    assert not rt._thread.is_alive()
+    assert [r.getMessage() for r in caplog.records
+            if r.name == "asyncio"] == []

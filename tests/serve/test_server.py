@@ -1,7 +1,9 @@
 """In-process daemon tests: protocol verbs, coalescing, backpressure,
-drain — all over a real Unix socket against a :class:`ServerThread`."""
+drain, shutdown — all over a real Unix socket against a
+:class:`ServerThread`."""
 
 import json
+import logging
 import socket
 import threading
 import time
@@ -182,23 +184,6 @@ class TestCoalescing:
                 assert c.metrics()["counters"]["coalesced_tasks"] >= 1
             blocker.result(timeout=30)
 
-    def test_coalescing_can_be_disabled(self, tmp_path):
-        sock = str(tmp_path / "s.sock")
-        with ServerThread(sock, pool_size=1, queue_limit=8,
-                          coalesce=False) as st:
-            blocker = st.server.pool.submit(
-                AnalysisTask(kind="sleep", payload=0.5))
-            with ServeClient(sock) as c:
-                a = c.submit(FIG1_BPL)
-                b = c.submit(FIG1_BPL)
-                assert a["coalesced"] == b["coalesced"] == 0
-                # Two independent runs agree modulo wall-clock fields.
-                from repro.core.analysis import program_report_from_json
-                ra = program_report_from_json(c.result(a["id"])["report"])
-                rb = program_report_from_json(c.result(b["id"])["report"])
-                assert _stable(ra) == _stable(rb)
-            blocker.result(timeout=30)
-
 
 class TestBackpressure:
     def test_overloaded_submit_rejected_with_retry_after(self, tmp_path):
@@ -250,3 +235,20 @@ class TestDrain:
         assert st.server.pool.worker_pids() == []
         accept_client.close()
         drainer.close()
+
+
+class TestShutdown:
+    def test_stop_with_a_connected_client_is_clean(self, tmp_path, caplog):
+        # Stopping must close live client connections before the event
+        # loop exits: a handler still blocked in readline would be
+        # cancelled at loop teardown, which asyncio logs as an
+        # "Exception in callback ... CancelledError".
+        sock = str(tmp_path / "s.sock")
+        st = ServerThread(sock, pool_size=1, queue_limit=8).start()
+        with ServeClient(sock) as c:
+            assert c.ping()["pong"] is True
+            with caplog.at_level(logging.WARNING, logger="asyncio"):
+                st.stop()
+        assert not st._thread.is_alive()
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "asyncio"] == []

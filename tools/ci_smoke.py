@@ -22,7 +22,7 @@ diffs, then exits 0 on success and 1 on the first violated assertion.
 
 Usage::
 
-    python tools/ci_smoke.py [--out BENCH_incremental.json] [--jobs N]
+    python tools/ci_smoke.py [--out BENCH_incremental.json]
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def apply_edit(repo: Path) -> None:
     src.write_text(text.replace(EDIT_OLD, EDIT_NEW))
 
 
-def run_api_cycle(jobs: int) -> dict:
+def run_api_cycle() -> dict:
     tmp = Path(tempfile.mkdtemp(prefix="ci-smoke-"))
     repo = tmp / "repo"
     shutil.copytree(FIXTURE, repo)
@@ -88,7 +88,7 @@ def run_api_cycle(jobs: int) -> dict:
 
     print("cold sweep:")
     t0 = time.monotonic()
-    cold = run_ci(repo, manifest, jobs=jobs, cache_dir=cache)
+    cold = run_ci(repo, manifest, cache_dir=cache)
     cold_wall = time.monotonic() - t0
     total = cold.stats["procedures"]
     check(cold.stats["analyzed"] == total, "cold analyzes every procedure",
@@ -96,10 +96,10 @@ def run_api_cycle(jobs: int) -> dict:
 
     print("no-edit re-run:")
     t0 = time.monotonic()
-    idle = run_ci(repo, manifest, jobs=jobs, cache_dir=cache)
+    idle = run_ci(repo, manifest, cache_dir=cache)
     check(idle.stats["analyzed"] == 0, "no-edit re-run analyzes nothing",
           f"analyzed {idle.plan.order}")
-    idle2 = run_ci(repo, manifest, jobs=jobs, cache_dir=cache)
+    idle2 = run_ci(repo, manifest, cache_dir=cache)
     check(render_delta(idle.delta) == render_delta(idle2.delta),
           "delta report is byte-stable across identical runs")
 
@@ -107,7 +107,7 @@ def run_api_cycle(jobs: int) -> dict:
           f"{EDITED_PROC}):")
     apply_edit(repo)
     t0 = time.monotonic()
-    rerun = run_ci(repo, manifest, jobs=jobs, cache_dir=cache)
+    rerun = run_ci(repo, manifest, cache_dir=cache)
     rerun_wall = time.monotonic() - t0
     check(rerun.plan.order == [EDITED_PROC],
           "re-run analyzes exactly the dirty set",
@@ -162,10 +162,9 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(prog="ci_smoke")
     ap.add_argument("--out", type=Path,
                     default=REPO / "BENCH_incremental.json")
-    ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args(argv)
 
-    suites = run_api_cycle(args.jobs)
+    suites = run_api_cycle()
     run_cli_cycle()
 
     args.out.write_text(json.dumps(

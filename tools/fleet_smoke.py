@@ -8,7 +8,8 @@ pass that must be served from the replicas' hot tiers — and diffs
 every byte of stdout (and the exit code) against the batch ``python -m
 repro`` invocation with the same flags.  Then SIGTERMs the fleet and
 verifies the clean-shutdown contract: exit code 0, every socket
-unlinked, and no orphaned replica or worker processes.
+unlinked, no traceback in the fleet's output (replicas share its
+stderr), and no orphaned replica or worker processes.
 
 Usage::
 
@@ -159,6 +160,10 @@ def main(argv: list[str] | None = None) -> int:
         ok = False
     if "drained, exiting" not in out:
         print(f"FAIL: no drain message in fleet output:\n{out}",
+              file=sys.stderr)
+        ok = False
+    if "Traceback" in out:
+        print(f"FAIL: traceback in fleet output:\n{out}",
               file=sys.stderr)
         ok = False
     for leftover in [sock, *shard_socks]:

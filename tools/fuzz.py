@@ -3,8 +3,8 @@
 
 Runs ``repro.fuzz.run_campaign``: random well-typed programs through the
 oracle matrix (interpreter vs wp, brute-force vs solver, incremental vs
-naive, cached vs uncached, parallel vs serial, parse/pretty round-trip),
-with solver certificate validation on throughout.  Minimized
+naive, cached vs uncached, solver knobs on vs off, parse/pretty
+round-trip), with solver certificate validation on throughout.  Minimized
 reproducers for any finding are written into ``tests/corpus/`` where
 the pytest collector replays them forever.
 
@@ -41,9 +41,6 @@ def main(argv: list[str] | None = None) -> int:
                          "(default tests/corpus)")
     ap.add_argument("--no-emit", action="store_true",
                     help="report findings without writing corpus files")
-    ap.add_argument("--jobs-every", type=int, default=50, metavar="N",
-                    help="run the process-pool oracle every N iterations "
-                         "(0 disables; default 50)")
     ap.add_argument("--quiet", action="store_true",
                     help="suppress progress lines")
     ap.add_argument("--only", default=None, metavar="ORACLE",
@@ -55,7 +52,7 @@ def main(argv: list[str] | None = None) -> int:
     result = run_campaign(
         seed=args.seed, iterations=args.iterations,
         corpus_dir=None if args.no_emit else args.corpus,
-        jobs_every=args.jobs_every, progress=progress, only=args.only)
+        progress=progress, only=args.only)
 
     print(f"campaign seed={result.seed} iterations={result.iterations}")
     for oracle in sorted(result.executed):

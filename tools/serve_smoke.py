@@ -7,7 +7,7 @@ stdout (and the exit code) against the batch ``python -m repro``
 invocation with the same flags — the served path must be
 indistinguishable from the batch path.  Then SIGTERMs the daemon and
 verifies the clean-shutdown contract: exit code 0, the socket unlinked,
-and no orphaned worker processes.
+no traceback in the daemon's output, and no orphaned worker processes.
 
 Usage::
 
@@ -144,6 +144,10 @@ def main(argv: list[str] | None = None) -> int:
         ok = False
     if "drained, exiting" not in out:
         print(f"FAIL: no drain message in daemon output:\n{out}",
+              file=sys.stderr)
+        ok = False
+    if "Traceback" in out:
+        print(f"FAIL: traceback in daemon output:\n{out}",
               file=sys.stderr)
         ok = False
     if os.path.exists(sock):
