@@ -42,6 +42,14 @@ procedure p{i}(x: int) returns (r: int)
   r := x + {i + 1};
 }}""" for i in range(6))
 
+# submit fields the shared validation rejects, with a piece of its message
+SUBMIT_REJECTIONS = [
+    ({"kind": "frob", "source": FIG1_BPL}, "unknown kind"),
+    ({"config": "Nope", "source": FIG1_BPL}, "unknown config"),
+    ({"source": 42}, "string 'source'"),
+    ({"lang": "rust", "source": FIG1_BPL}, "unknown lang"),
+]
+
 _VOLATILE = {"seconds", "phases", "budget_remaining", "solver_stats",
              "queries", "cache_hits", "queries_saved"}
 
@@ -118,6 +126,15 @@ class TestRouting:
         with pytest.raises(ServeError) as exc:
             client.submit("procedure oops(   <-- not boogie")
         assert exc.value.code == "bad_request"
+
+    @pytest.mark.parametrize("msg,message", SUBMIT_REJECTIONS)
+    def test_invalid_submit_is_bad_request(self, client, msg, message):
+        # The router validates with the server's parse_submit, so it
+        # rejects the same submissions before routing any work.
+        with pytest.raises(ServeError) as exc:
+            client.request("submit", **msg)
+        assert exc.value.code == "bad_request"
+        assert message in str(exc.value)
 
     def test_topology_verb(self, fleet, client):
         topo = client.request("topology")

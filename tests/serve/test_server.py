@@ -50,6 +50,14 @@ procedure dec(x: int) returns (r: int)
 }
 """
 
+# submit fields the shared validation rejects, with a piece of its message
+SUBMIT_REJECTIONS = [
+    ({"kind": "frob", "source": FIG1_BPL}, "unknown kind"),
+    ({"config": "Nope", "source": FIG1_BPL}, "unknown config"),
+    ({"source": 42}, "string 'source'"),
+    ({"lang": "rust", "source": FIG1_BPL}, "unknown lang"),
+]
+
 # wall-clock / machine-local fields excluded from equality checks
 _VOLATILE = {"seconds", "phases", "budget_remaining", "solver_stats",
              "queries", "cache_hits", "queries_saved"}
@@ -154,6 +162,13 @@ class TestVerbs:
         with pytest.raises(ServeError) as exc:
             client.submit(FIG1_BPL, procs=["Nope"])
         assert exc.value.code == "bad_request"
+
+    @pytest.mark.parametrize("msg,message", SUBMIT_REJECTIONS)
+    def test_invalid_submit_is_bad_request(self, client, msg, message):
+        with pytest.raises(ServeError) as exc:
+            client.request("submit", **msg)
+        assert exc.value.code == "bad_request"
+        assert message in str(exc.value)
 
     def test_malformed_json_line(self, server):
         addr = server.server.address[1]
