@@ -22,15 +22,21 @@ Parallelism across procedures is the server's worker pool
 Both sweeps, and ``analyze_procedure`` itself, consult the persistent
 content-addressed cache (`repro.core.cache`) when given one: a procedure
 whose structural hash + configuration fingerprint is already on disk
-returns its stored ``ProcedureReport`` verbatim, with zero solver work,
-and the hit/miss/store counters are merged into
-``ProgramReport.cache_stats``.
+returns its stored result with zero solver work and telemetry of its
+own (``source="disk"``), and the hit/miss/store counters are merged
+into ``ProgramReport.cache_stats``.
+
+A ``ProcedureReport`` is a *result* (status, warnings, specs, counts)
+plus per-run *telemetry* (timings, solver counters, certificates, where
+the answer came from).  The telemetry fields are ``compare=False``, so
+plain ``==`` compares results; :meth:`ProcedureReport.result_dict` is
+the result alone, which is all the caches store.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from ..lang.ast import Program
 from ..lang.transform import prepare_procedure
@@ -67,18 +73,50 @@ class ProcedureReport:
     specs: list = field(default_factory=list)
     n_preds: int = 0
     n_cover_clauses: int = 0
-    seconds: float = 0.0
-    # observability (see DeadFailOracle.stats / SatSolver.stats)
-    queries: int = 0
-    cache_hits: int = 0
-    queries_saved: int = 0
-    solver_stats: dict = field(default_factory=dict)
+    # ---- telemetry: how this run went (see DeadFailOracle.stats /
+    # SatSolver.stats); never compared, never cached
+    seconds: float = field(default=0.0, compare=False)
+    queries: int = field(default=0, compare=False)
+    cache_hits: int = field(default=0, compare=False)
+    queries_saved: int = field(default=0, compare=False)
+    solver_stats: dict = field(default_factory=dict, compare=False)
     # certificate counters when the run was self-checking (sat answers
     # model-validated / unsat answers proof-checked); empty otherwise
-    certificates: dict = field(default_factory=dict)
+    certificates: dict = field(default_factory=dict, compare=False)
     # per-phase wall-time breakdown plus the budget left at the end
-    phases: dict = field(default_factory=dict)
-    budget_remaining: float | None = None
+    phases: dict = field(default_factory=dict, compare=False)
+    budget_remaining: float | None = field(default=None, compare=False)
+    # where the answer came from: "computed" by this run, read from the
+    # "disk" cache or the server's "hot" tier, or handed to a
+    # "coalesced" twin of an in-flight computation
+    source: str = field(default="computed", compare=False)
+    # the budget ran out while simplifying the displayed specs, so they
+    # are shown unsimplified and the report is not cached
+    post_timed_out: bool = field(default=False, compare=False)
+
+    @property
+    def cacheable(self) -> bool:
+        """Whether the result is a pure function of the cache key: a
+        timeout, a failure or a post-phase budget expiry depends on the
+        budget or on luck, which the key leaves out."""
+        return not (self.timed_out or self.failed or self.post_timed_out)
+
+    def result_dict(self) -> dict:
+        """The result alone, JSON-shaped: what the caches store."""
+        data = asdict(self)
+        return {f.name: data[f.name] for f in fields(self) if f.compare}
+
+    @classmethod
+    def from_dict(cls, data: dict, **telemetry) -> "ProcedureReport":
+        """The one decoder of a report dict (a cache record's result, a
+        hot-tier record or a wire report), with ``telemetry`` fields
+        set on top.  Strict: unknown fields raise ``ValueError``, so a
+        record of another schema degrades to a miss, not to a
+        malformed report."""
+        unknown = set(data) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ValueError(f"unknown report fields {sorted(unknown)}")
+        return cls(**{**data, **telemetry})
 
 
 @dataclass
@@ -157,17 +195,21 @@ def analyze_procedure(program: Program, proc_name: str,
 
     ``cache`` (an :class:`AnalysisCache` or a directory path) enables
     the persistent content-addressed cache: a hit returns the stored
-    report verbatim — bit-identical to the run that produced it — and a
-    completed miss is stored for next time.  Timed-out analyses are
-    never cached (they depend on the budget, which is outside the key).
+    result (equal to the run that produced it) with this run's own
+    telemetry — ``source="disk"``, the lookup wall as ``seconds``, zero
+    solver counters — and a completed miss is stored for next time.
+    Timed-out analyses, and analyses whose budget ran out while
+    simplifying the displayed specs, are never cached (they depend on
+    the budget, which is outside the key).
 
     ``self_check`` runs the solver in certificate-validating mode: a
     rejected certificate raises :class:`repro.smt.api.CertificateError`
     (it is deliberately *not* absorbed as a timeout).  Cache hits skip
-    solving entirely and are returned as-is.
+    solving entirely.
     """
     cache = AnalysisCache.open(cache)
     start = time.monotonic()
+    budget = Budget(timeout)
     prepared = None
     key = None
     if cache is not None:
@@ -179,9 +221,10 @@ def analyze_procedure(program: Program, proc_name: str,
                                  max_preds=max_preds)
         hit = cache.load_analysis(key, proc_name=proc_name)
         if hit is not None:
+            hit.seconds = time.monotonic() - start
+            hit.budget_remaining = budget.remaining()
             return hit
     report = ProcedureReport(proc_name=proc_name, config_name=config.name)
-    budget = Budget(timeout)
     res: SibResult | None = None
     try:
         res = find_abstract_sibs(
@@ -201,11 +244,12 @@ def analyze_procedure(program: Program, proc_name: str,
         report.solver_stats = res.solver_stats
         report.certificates = res.oracle_stats.get("certificates", {})
         report.phases = res.timings
+        report.post_timed_out = res.post_timed_out
     except _BUDGET_ERRORS:
         report.timed_out = True
     report.seconds = time.monotonic() - start
     report.budget_remaining = budget.remaining()
-    if cache is not None and res is not None and not report.timed_out:
+    if cache is not None and res is not None:
         cache.store_analysis(key, report, res)
     return report
 
@@ -339,10 +383,8 @@ def conservative_program(program: Program, timeout: float | None = 10.0,
 # ----------------------------------------------------------------------
 
 def program_report_to_json(report: ProgramReport) -> dict:
-    """A JSON-safe dict carrying a ``ProgramReport`` verbatim.  The
-    persistent cache already stores ``ProcedureReport`` as
-    ``dataclasses.asdict`` JSON, so the same encoding is bit-exact."""
-    from dataclasses import asdict
+    """A JSON-safe dict carrying a ``ProgramReport``: every report field,
+    telemetry included, flat."""
     return {
         "config_name": report.config_name,
         "prune_k": report.prune_k,
@@ -352,18 +394,10 @@ def program_report_to_json(report: ProgramReport) -> dict:
 
 
 def program_report_from_json(data: dict) -> ProgramReport:
-    """Inverse of :func:`program_report_to_json` (strict: unknown
-    report fields are an error, mirroring the cache loader)."""
-    field_names = {f.name for f in
-                   ProcedureReport.__dataclass_fields__.values()}
-    reports = []
-    for rd in data["reports"]:
-        unknown = set(rd) - field_names
-        if unknown:
-            raise ValueError(f"unknown report fields {unknown}")
-        reports.append(ProcedureReport(**rd))
+    """Inverse of :func:`program_report_to_json` (strict, through
+    :meth:`ProcedureReport.from_dict`)."""
     out = ProgramReport(config_name=data["config_name"],
                         prune_k=data["prune_k"])
-    out.reports = reports
+    out.reports = [ProcedureReport.from_dict(rd) for rd in data["reports"]]
     out.cache_stats = dict(data.get("cache_stats") or {})
     return out

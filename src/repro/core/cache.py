@@ -26,13 +26,16 @@ On-disk layout (see ``docs/caching.md`` for the full format):
   invalidation) and silently overwritten — a bad cache can cost time,
   never correctness, and never a crash.
 
-Two record kinds exist: ``analysis`` (the full per-procedure
-:class:`~repro.core.analysis.ProcedureReport` plus the encoding summary,
-predicate cover and baseline Dead/Fail sets) and ``cons`` (the
-conservative verifier's warnings).  Loading either kind also pre-seeds
-the in-process baseline memo (:func:`repro.core.deadfail.seed_baselines`)
-so that even a *partial* hit — same procedure, different configuration —
-skips the vocabulary-independent baseline queries.
+Two record kinds exist: ``analysis`` (the per-procedure result,
+:meth:`~repro.core.analysis.ProcedureReport.result_dict`, plus the
+encoding summary, predicate cover and baseline Dead/Fail sets) and
+``cons`` (the conservative verifier's warnings).  No record holds
+per-run telemetry (timings, solver counters): a hit reports its own
+run, not the one that stored the record.  Loading either kind also
+pre-seeds the in-process baseline memo
+(:func:`repro.core.deadfail.seed_baselines`) so that even a *partial*
+hit — same procedure, different configuration — skips the
+vocabulary-independent baseline queries.
 """
 
 from __future__ import annotations
@@ -54,13 +57,13 @@ from .deadfail import seed_baselines
 #: id assignment, changed semantics); old records then hash to different
 #: keys and simply stop being found — no migration, no mixed reads.
 #: v3: the content address no longer covers the procedure *name* (a
-#: renamed/moved procedure keeps its entry) and records carry a
-#: top-level ``wall`` so schedulers can read historical cost without
-#: reconstructing the report.
+#: renamed/moved procedure keeps its entry).
 #: v4: ``ProcedureReport`` gained ``bug_classes`` (per-warning-class
 #: counts derived from label prefixes); v3 records lack the field and
 #: must miss cleanly.
-SCHEMA_VERSION = 4
+#: v5: records hold results only — no telemetry in the report, no
+#: top-level ``wall``.
+SCHEMA_VERSION = 5
 
 
 def _digest(*parts: str) -> str:
@@ -119,10 +122,6 @@ class AnalysisCache:
         self.misses = 0
         self.stores = 0
         self.invalidations = 0
-        # solver queries *replayed* from disk instead of executed: hit
-        # reports carry the original run's counters verbatim, so
-        # "queries actually performed" = total queries - queries_served
-        self.queries_served = 0
 
     @classmethod
     def open(cls, cache: "AnalysisCache | str | os.PathLike | None"
@@ -137,8 +136,7 @@ class AnalysisCache:
         """Counters for the observability layer (summed per sweep and
         surfaced as ``pcache`` in ``BENCH_perf.json``)."""
         return {"hits": self.hits, "misses": self.misses,
-                "stores": self.stores, "invalidations": self.invalidations,
-                "queries_served": self.queries_served}
+                "stores": self.stores, "invalidations": self.invalidations}
 
     # ------------------------------------------------------------------
     # content addresses
@@ -188,21 +186,6 @@ class AnalysisCache:
             self.invalidations += 1
             return None
 
-    def peek(self, key: str) -> dict | None:
-        """The raw on-disk record for ``key``, or ``None`` — **no side
-        effects**: no hit/miss counting, no baseline seeding, no report
-        reconstruction, so reading a record's metadata (:meth:`wall_of`)
-        does not distort the cache statistics."""
-        path = self._path(key)
-        try:
-            rec = json.loads(path.read_bytes())
-        except (OSError, ValueError):
-            return None
-        if not isinstance(rec, dict) or rec.get("schema") != SCHEMA_VERSION \
-                or rec.get("kind") not in ("analysis", "cons"):
-            return None
-        return rec
-
     def _write(self, key: str, rec: dict) -> None:
         """Atomic write-then-rename, so readers (including concurrent
         pool workers on the same directory) never observe a
@@ -230,9 +213,11 @@ class AnalysisCache:
     # ------------------------------------------------------------------
 
     def load_analysis(self, key: str, proc_name: str | None = None):
-        """The cached :class:`~repro.core.analysis.ProcedureReport` for
-        ``key``, or ``None``.  A hit also seeds the in-process baseline
-        memo from the record's Dead/Fail baseline sets.
+        """The cached result for ``key`` as a
+        :class:`~repro.core.analysis.ProcedureReport` with
+        ``source="disk"`` and zeroed telemetry, or ``None``.  A hit
+        also seeds the in-process baseline memo from the record's
+        Dead/Fail baseline sets.
 
         ``proc_name`` rewrites the loaded report's procedure name: the
         content address is name-independent (a renamed or moved
@@ -243,13 +228,7 @@ class AnalysisCache:
         if rec is None:
             return None
         try:
-            report_dict = dict(rec["report"])
-            field_names = {f.name for f in
-                           ProcedureReport.__dataclass_fields__.values()}
-            unknown = set(report_dict) - field_names
-            if unknown:
-                raise ValueError(f"unknown report fields {unknown}")
-            report = ProcedureReport(**report_dict)
+            report = ProcedureReport.from_dict(rec["report"], source="disk")
             base = rec["baseline"]
             seed_baselines(rec["encoding"]["fingerprint"],
                            bool(base["dead_through_failures"]),
@@ -261,39 +240,22 @@ class AnalysisCache:
         if proc_name is not None:
             report.proc_name = proc_name
         self.hits += 1
-        self.queries_served += report.queries
         return report
 
-    def wall_of(self, key: str) -> float | None:
-        """The wall seconds the result under ``key`` originally cost to
-        *compute*, or ``None``.  Read from the record's top-level
-        ``wall`` field without reconstructing the report — the
-        incremental driver's "historically slow first" ordering
-        (`repro.core.incremental`) reads this for procedures it is
-        about to re-serve.  No hit/miss counting (like :meth:`peek`)."""
-        rec = self.peek(key)
-        if rec is None:
-            return None
-        wall = rec.get("wall")
-        return float(wall) if isinstance(wall, (int, float)) else None
-
     def store_analysis(self, key: str, report, res) -> None:
-        """Persist a *completed* analysis: the report verbatim plus the
+        """Persist a *completed* analysis: the report's result plus the
         content-addressing ingredients from the :class:`SibResult`
-        (encoding summary, predicate cover, baseline sets).  Timed-out
-        reports must not be stored — they depend on the budget, which is
-        outside the key."""
-        from dataclasses import asdict
-        if report.timed_out or report.failed:
+        (encoding summary, predicate cover, baseline sets).  A report
+        that is not ``cacheable`` (timed out, failed, or ran out of
+        budget while simplifying its displayed specs) is not stored —
+        it depends on the budget, which is outside the key."""
+        if not report.cacheable:
             return
         self._write(key, {
             "schema": SCHEMA_VERSION,
             "kind": "analysis",
             "proc": report.proc_name,
             "config": report.config_name,
-            # compute cost, surfaced without report reconstruction so
-            # re-run schedulers can order "historically slow first"
-            "wall": report.seconds,
             "encoding": res.enc_summary,
             "cover": cover_to_json(res.cover),
             "baseline": {
@@ -301,7 +263,7 @@ class AnalysisCache:
                 "live_locs": sorted(res.baseline_live),
                 "fail_true": sorted(res.baseline_fail_true),
             },
-            "report": asdict(report),
+            "report": report.result_dict(),
         })
 
     # ------------------------------------------------------------------
@@ -327,17 +289,14 @@ class AnalysisCache:
         self.hits += 1
         return warnings
 
-    def store_cons(self, key: str, result, wall: float = 0.0) -> None:
+    def store_cons(self, key: str, result) -> None:
         """Persist a completed conservative check (a
         :class:`~repro.core.checker.CheckResult` carrying its encoding
-        summary and baseline sets).  ``wall`` is the compute cost in
-        seconds, kept for the same scheduling heuristic as analysis
-        records."""
+        summary and baseline sets)."""
         self._write(key, {
             "schema": SCHEMA_VERSION,
             "kind": "cons",
             "proc": result.proc_name,
-            "wall": wall,
             "encoding": result.enc_summary,
             "baseline": {
                 "dead_through_failures": True,

@@ -37,17 +37,15 @@ affect, not for the whole repo.  This module is that driver:
    ``"cold"`` / ``"config"`` instead of ``"diff"``).
 
 4. **Schedule.**  The dirty set is ordered changed-first (rank 0:
-   changed/renamed/new; rank 1: dependent), historically-slow-first
-   within each rank using the wall seconds the manifest recorded for
-   the previous run (ties break by name, so plans are deterministic).
-   The dirty set runs serially in plan order.
+   changed/renamed/new; rank 1: dependent), then by name, so plans are
+   deterministic.  The dirty set runs serially in plan order.
 
-5. **Report.**  The new manifest is written back (sorted keys, so it
-   is byte-stable), and the run carries a *warning delta* against the
-   previous manifest — new / fixed / unchanged warnings per confidence
-   class (``high`` = ACSpec warnings, ``cons`` = the conservative
-   verifier's) — rendered canonically by :func:`render_delta` so CI
-   can diff it against a golden file.
+5. **Report.**  The new manifest is written back (results only, with
+   sorted keys, so it is byte-stable), and the run carries a *warning
+   delta* against the previous manifest — new / fixed / unchanged
+   warnings per confidence class (``high`` = ACSpec warnings, ``cons``
+   = the conservative verifier's) — rendered canonically by
+   :func:`render_delta` so CI can diff it against a golden file.
 
 ``docs/ci_mode.md`` documents the manifest format, the dirty-set rules
 and the delta-report glossary; ``tools/ci_smoke.py`` is the end-to-end
@@ -76,7 +74,8 @@ from .tasks import AnalysisTask, run_task
 #: Version of the manifest format.  A manifest of any other version is
 #: ignored (the run degrades to a cold sweep) — no migration, no mixed
 #: reads, exactly like the persistent cache's schema field.
-MANIFEST_SCHEMA = 1
+#: v2: procedure entries no longer carry a ``wall``.
+MANIFEST_SCHEMA = 2
 
 #: Scheduling rank per dirty class: lower runs first.  Changed (and
 #: renamed/new) procedures are the ones the diff touched directly — the
@@ -157,8 +156,7 @@ class IncrementPlan:
     #: manifest procedures that no longer exist (their warnings show up
     #: as fixed in the delta)
     removed: list = field(default_factory=list)
-    #: dirty procedures in schedule order (rank, then slow-first, then
-    #: name)
+    #: dirty procedures in schedule order (rank, then name)
     order: list = field(default_factory=list)
     #: procedure -> scheduling rank (0 changed/renamed/new, 1 dependent)
     priorities: dict = field(default_factory=dict)
@@ -244,7 +242,6 @@ def plan_increment(repo: IngestedRepo, previous: dict | None, *,
                     if prev_spec.get(n) != fp}
     dependents = spec_dependents(program, spec_changed)
 
-    hist_wall: dict = {}
     for name in bodied:
         prev_entry = prev_procs.get(name)
         if prev_entry is None:
@@ -252,24 +249,19 @@ def plan_increment(repo: IngestedRepo, previous: dict | None, *,
             if old is not None:
                 plan.classes[name] = "renamed"
                 plan.renamed_from[name] = old
-                hist_wall[name] = float(prev_procs[old].get("wall", 0.0))
             else:
                 plan.classes[name] = "changed" if plan.reason != "diff" \
                     else "new"
-                hist_wall[name] = 0.0
         elif prev_entry.get("surface_fp") != plan.surface_fps[name]:
             plan.classes[name] = "changed"
-            hist_wall[name] = float(prev_entry.get("wall", 0.0))
         elif name in dependents:
             plan.classes[name] = "dependent"
-            hist_wall[name] = float(prev_entry.get("wall", 0.0))
         else:
             plan.classes[name] = "clean"
 
     dirty = [n for n in bodied if plan.classes[n] != "clean"]
     plan.priorities = {n: CLASS_RANK[plan.classes[n]] for n in dirty}
-    plan.order = sorted(dirty, key=lambda n: (plan.priorities[n],
-                                              -hist_wall[n], n))
+    plan.order = sorted(dirty, key=lambda n: (plan.priorities[n], n))
     return plan
 
 
@@ -417,18 +409,13 @@ def run_ci(root: str | os.PathLike,
         procedures[name] = entry
 
     reports: dict = {}
-    queries = 0
     for name, res in zip(plan.order, results):
-        if res.failure is not None:
-            report = failure_report(name, config.name, res.failure)
-        else:
-            report = res.report
-            queries += report.queries
+        report = res.report if res.failure is None else \
+            failure_report(name, config.name, res.failure)
         reports[name] = report
         procedures[name] = {
             "file": repo.proc_files[name],
             "surface_fp": plan.surface_fps[name],
-            "wall": round(report.seconds, 6),
             "status": report.status,
             "timed_out": report.timed_out,
             "failed": report.failed,
@@ -449,8 +436,6 @@ def run_ci(root: str | os.PathLike,
 
     cache_stats = merge_cache_stats(r.cache_stats for r in results
                                     if r.cache_stats)
-    # queries actually executed this run: hit reports replay their
-    # original counters, which the cache tallies as queries_served
     stats = {"wall_seconds": round(time.monotonic() - start, 3),
              "files": len(repo.file_digests),
              "procedures": len(procedures),
@@ -458,7 +443,7 @@ def run_ci(root: str | os.PathLike,
              "clean": len(plan.clean),
              "classes": plan.counts(),
              "fingerprints_skipped": plan.fingerprints_skipped,
-             "queries": queries - cache_stats.get("queries_served", 0),
+             "queries": sum(r.queries for r in reports.values()),
              "cache": cache_stats}
     return CiResult(plan=plan, manifest=manifest, delta=delta,
                     reports=reports, stats=stats)

@@ -56,6 +56,10 @@ class SibResult:
     # use, e.g. the interprocedural extension)
     spec_formulas: list = field(default_factory=list)
     min_fail: int = 0
+    # the budget ran out while simplifying the displayed specs: they are
+    # shown unsimplified, which depends on wall-clock, so the result
+    # must not be cached under a budget-insensitive key
+    post_timed_out: bool = False
     queries: int = 0
     # observability: oracle cache behaviour, SAT-core counters, and a
     # per-phase wall-time breakdown (seconds)
@@ -164,7 +168,8 @@ def find_abstract_sibs(program: Program, proc: Procedure | str,
         try:
             spec = oracle.simplify_clauses(spec)
         except AnalysisTimeout:
-            pass  # display aid only: out of budget, show it unsimplified
+            # display aid only: out of budget, show it unsimplified
+            result.post_timed_out = True
         fm = clause_set_formula(spec, preds)
         formulas.append(fm)
         display.append(pp_formula(fm))

@@ -150,8 +150,6 @@ def _run_cons(task: AnalysisTask, cache) -> TaskResult:
         if hit is not None:
             return TaskResult(kind="cons", proc_name=task.proc_name,
                               cons_warnings=hit, cache_stats=cache.stats())
-    import time
-    start = time.monotonic()
     try:
         res = check_procedure(task.program, task.proc_name,
                               budget=Budget(task.timeout),
@@ -163,7 +161,7 @@ def _run_cons(task: AnalysisTask, cache) -> TaskResult:
                           cons_warnings=[], cons_timed_out=True,
                           cache_stats=cache.stats() if cache else None)
     if cache is not None:
-        cache.store_cons(key, res, wall=time.monotonic() - start)
+        cache.store_cons(key, res)
     return TaskResult(kind="cons", proc_name=task.proc_name,
                       cons_warnings=res.warnings,
                       cache_stats=cache.stats() if cache else None)
@@ -192,8 +190,8 @@ def _run_control(task: AnalysisTask) -> TaskResult:
 def coalesce_key(task: AnalysisTask) -> str:
     """The content address identical concurrent submissions share.
 
-    Two tasks with equal keys are guaranteed to produce bit-identical
-    results, so the server runs one and hands the result to both; the
+    Two tasks with equal keys are guaranteed to produce equal results,
+    so the server runs one and hands the result to both; the
     hot tier (`repro.serve.hotcache`) and the fleet's hash ring key on
     it too.  The key is the persistent-cache content address
     (post-elaboration AST fingerprint + budget-insensitive config

@@ -84,20 +84,6 @@ def _first_proc(program: Program) -> str:
     raise ValueError("program has no procedure with a body")
 
 
-def _fields(report) -> dict:
-    """The semantically meaningful slice of a ProcedureReport (wall-clock
-    and counter fields legitimately differ between runs)."""
-    return {
-        "status": report.status,
-        "timed_out": report.timed_out,
-        "warnings": list(report.warnings),
-        "conservative_warnings": list(report.conservative_warnings),
-        "specs": list(report.specs),
-        "n_preds": report.n_preds,
-        "n_cover_clauses": report.n_cover_clauses,
-    }
-
-
 # ----------------------------------------------------------------------
 # oracle: pretty-print / parse round-trip
 # ----------------------------------------------------------------------
@@ -295,10 +281,10 @@ def cached_vs_uncached(program: Program, rng: random.Random,
     name = _first_proc(program)
     kwargs = dict(timeout=None, lia_budget=5000, max_preds=6,
                   self_check=self_check)
-    uncached = _fields(analyze_procedure(program, name, **kwargs))
+    uncached = analyze_procedure(program, name, **kwargs)
     with tempfile.TemporaryDirectory(prefix="repro-fuzz-cache-") as tmp:
-        miss = _fields(analyze_procedure(program, name, cache=tmp, **kwargs))
-        hit = _fields(analyze_procedure(program, name, cache=tmp, **kwargs))
+        miss = analyze_procedure(program, name, cache=tmp, **kwargs)
+        hit = analyze_procedure(program, name, cache=tmp, **kwargs)
     if miss != uncached:
         return f"cache-miss run differs from uncached: {miss} vs {uncached}"
     if hit != uncached:
@@ -319,11 +305,9 @@ def _tuning_differential(program: Program, overrides: dict,
     from ..smt.tuning import tuning
     kwargs = dict(timeout=None, lia_budget=5000, max_preds=6,
                   self_check=True)
-    on = [(r.proc_name, _fields(r))
-          for r in analyze_program(program, **kwargs).reports]
+    on = analyze_program(program, **kwargs).reports
     with tuning(**overrides):
-        off = [(r.proc_name, _fields(r))
-               for r in analyze_program(program, **kwargs).reports]
+        off = analyze_program(program, **kwargs).reports
     if on != off:
         return f"analysis changed with {what} disabled: {off} vs {on}"
     return None

@@ -17,8 +17,8 @@ run).  Callers see either an accepted request id or a
 :class:`ServeError`.
 
 ``analyze()`` is the high-level entry point: submit + wait + rebuild a
-real :class:`~repro.core.analysis.ProgramReport`, bit-identical to what
-the batch ``analyze_program`` returns for the same inputs.
+real :class:`~repro.core.analysis.ProgramReport` whose reports equal
+(``==``) what the batch ``analyze_program`` returns for the same inputs.
 """
 
 from __future__ import annotations

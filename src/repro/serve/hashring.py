@@ -11,12 +11,12 @@ needs:
   deduplicate them.  A plain ``hash(key) % n`` would give the same
   affinity, but…
 
-* **Minimal movement.**  …adding or removing a shard would remap
-  ``(n-1)/n`` of the keyspace.  On this ring only the keys owned by the
-  removed shard (or claimed by the new one) move; every other key keeps
-  its owner.  That is exactly the failover contract: when a replica
-  dies, its keyspace is re-hashed over the survivors and nothing else
-  shifts — warm hot-tier entries on the surviving shards stay valid.
+* **Minimal movement.**  …removing a shard would remap ``(n-1)/n`` of
+  the keyspace.  On this ring only the keys owned by the removed shard
+  move; every other key keeps its owner.  That is exactly the failover
+  contract: when a replica dies, its keyspace is re-hashed over the
+  survivors and nothing else shifts — warm hot-tier entries on the
+  surviving shards stay valid.
 
 Each shard contributes ``vnodes`` virtual points (SHA-256 of
 ``"<shard>#<i>"``), which evens out the keyspace split: with 64 vnodes
@@ -26,8 +26,9 @@ host and every run — because routing decisions must be reproducible to
 debug.
 
 The structure is a sorted list of ``(point, shard)`` pairs with
-``bisect`` lookup: O(log(n·vnodes)) per ``owner`` call, rebuilt only on
-membership changes (rare: boot, replica death, scale-up).
+``bisect`` lookup: O(log(n·vnodes)) per ``owner`` call.  It is built
+once from the fleet's shards and only ever loses members (replica
+death).
 """
 
 from __future__ import annotations
@@ -55,27 +56,15 @@ class HashRing:
         if vnodes < 1:
             raise ValueError("vnodes must be >= 1")
         self.vnodes = vnodes
-        self._shards: set[str] = set()
-        self._points: list[int] = []
-        self._owners: list[str] = []
-        for shard in shards:
-            self.add(shard)
+        self._shards: set[str] = set(shards)
+        ring = sorted((_point(f"{shard}#{i}"), shard)
+                      for shard in self._shards for i in range(vnodes))
+        self._points: list[int] = [point for point, _ in ring]
+        self._owners: list[str] = [shard for _, shard in ring]
 
     # ------------------------------------------------------------------
     # membership
     # ------------------------------------------------------------------
-
-    def add(self, shard: str) -> None:
-        """Add a shard (idempotent): claims its vnode points, moving
-        only the keys that now fall to it."""
-        if shard in self._shards:
-            return
-        self._shards.add(shard)
-        for i in range(self.vnodes):
-            point = _point(f"{shard}#{i}")
-            idx = bisect.bisect_left(self._points, point)
-            self._points.insert(idx, point)
-            self._owners.insert(idx, shard)
 
     def remove(self, shard: str) -> None:
         """Remove a shard (idempotent): its keys fall to their next

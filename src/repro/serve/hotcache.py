@@ -14,11 +14,12 @@ no JSON file, no pipe.  Together they form the fleet's tiered cache:
 Entries are stored as JSON-shaped *records*, not live result objects,
 because the byte budget needs a real size (``len(json.dumps)``).
 
-Only *completed* results are stored — a timed-out or failed task
-depends on wall-clock luck, and caching it would freeze a transient
-outcome.  ``cache_stats`` are stripped at store time: a hot hit did no
-disk-cache work, and replaying the original run's counters would
-double-count them in the server metrics.
+Only *completed* results are stored — a timed-out or failed task, or
+one whose budget ran out while simplifying its displayed specs, depends
+on wall-clock luck, and caching it would freeze a transient outcome.
+A record holds the result alone (no telemetry, no ``cache_stats``): a
+hot hit comes back with ``source="hot"`` and zeroed telemetry instead
+of replaying the run that stored it.
 
 Thread-safe; every operation is O(1) amortized (one OrderedDict move
 plus eviction amortized over stores).
@@ -42,16 +43,15 @@ DEFAULT_HOT_BYTES = 64 * 1024 * 1024
 
 def result_to_record(result: TaskResult) -> dict | None:
     """The JSON-shaped hot-tier record for a completed result, or
-    ``None`` when the result must not be cached (failed, timed out, or
-    a control kind)."""
+    ``None`` when the result must not be cached (failed, not
+    ``cacheable``, or a control kind)."""
     if result.failure is not None:
         return None
     if result.kind == "analyze":
-        from dataclasses import asdict
-        if result.report is None or result.report.timed_out:
+        if result.report is None or not result.report.cacheable:
             return None
         return {"kind": "analyze", "proc": result.proc_name,
-                "report": asdict(result.report)}
+                "report": result.report.result_dict()}
     if result.kind == "cons":
         if result.cons_warnings is None or result.cons_timed_out:
             return None
@@ -62,20 +62,15 @@ def result_to_record(result: TaskResult) -> dict | None:
 
 def record_to_result(record: dict) -> TaskResult:
     """Rebuild a :class:`TaskResult` from a hot-tier record.  Strict —
-    unknown report fields raise (mirroring the disk-cache loader), so a
-    stale record from an older schema degrades to a miss at the caller
-    rather than a malformed report downstream."""
+    unknown report fields raise (:meth:`ProcedureReport.from_dict`), so
+    a stale record from an older schema degrades to a miss at the
+    caller rather than a malformed report downstream."""
     kind = record.get("kind")
     if kind == "analyze":
         from ..core.analysis import ProcedureReport
-        report_dict = dict(record["report"])
-        field_names = {f.name for f in
-                       ProcedureReport.__dataclass_fields__.values()}
-        unknown = set(report_dict) - field_names
-        if unknown:
-            raise ValueError(f"unknown report fields {unknown}")
         return TaskResult(kind="analyze", proc_name=str(record["proc"]),
-                          report=ProcedureReport(**report_dict))
+                          report=ProcedureReport.from_dict(record["report"],
+                                                           source="hot"))
     if kind == "cons":
         return TaskResult(kind="cons", proc_name=str(record["proc"]),
                           cons_warnings=[str(w) for w in record["warnings"]])

@@ -14,14 +14,15 @@ verbs live in `repro.serve.service`.  What the server adds:
   (`repro.core.tasks.coalesce_key`: post-elaboration AST fingerprint +
   configuration fingerprint + budget knobs).  A submission whose key is
   already being computed attaches to that computation instead of
-  re-running it; both requests then get bit-identical results, and
-  later resubmissions hit the persistent cache inside the workers.
+  re-running it; both requests then get equal results (the twin's copy
+  says ``source="coalesced"``), and later resubmissions hit the
+  persistent cache inside the workers.
 
 * **Hot tier.**  With ``hot_bytes`` set, completed per-procedure
   results are kept in a byte-bounded in-memory LRU
   (`repro.serve.hotcache`) keyed on the same coalesce key: a repeat
   submission is answered from the server process without touching a
-  worker, the disk cache, or the pool queue.
+  worker, the disk cache, or the pool queue (``source="hot"``).
 
 * **Deadlines.**  A request-level deadline rides every task into the
   pool: expired-while-queued tasks never occupy a worker, and a task
@@ -133,7 +134,11 @@ class AnalysisServer(JsonLinesService):
             record = result_to_record(result)
             if record is not None:
                 self.hot_cache.put(key, record)
-        for req, idx in self._inflight.pop(key, ()):
+        owner, *twins = self._inflight.pop(key)
+        self._deliver(*owner, result)
+        if twins:
+            result = _as_coalesced(result)
+        for req, idx in twins:
             self._deliver(req, idx, result)
 
     def _deliver(self, req: Request, idx: int, result) -> None:
@@ -176,6 +181,15 @@ class AnalysisServer(JsonLinesService):
             cache_dir=self.cache_dir,
             hot=(self.hot_cache.stats()
                  if self.hot_cache is not None else None))
+
+
+def _as_coalesced(result):
+    """A coalesced waiter's copy of a flight's result: the same answer,
+    marked as handed over, with no cache work of its own to count."""
+    if result.report is None:
+        return replace(result, cache_stats=None)
+    return replace(result, cache_stats=None,
+                   report=replace(result.report, source="coalesced"))
 
 
 def ServerThread(address: str, **kwargs) -> ServiceThread:

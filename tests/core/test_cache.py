@@ -1,11 +1,13 @@
 """The persistent content-addressed analysis cache (repro.core.cache).
 
-Correctness bar: a warm sweep must be *bit-identical* to the cold sweep
-that populated the cache (full ``ProcedureReport`` equality — a hit
-returns the stored report verbatim); every fingerprinted knob must
-change the content address; corruption of any record must degrade to a
-miss, never a crash; and a cache shared by the processes of a 2-worker
-pool must give the same answers as a serial sweep.
+Correctness bar: a warm sweep must equal the cold sweep that populated
+the cache (``ProcedureReport`` ``==``, which compares results and
+ignores telemetry) while reporting its own run (``source="disk"``, no
+solver queries); every fingerprinted knob must change the content
+address; corruption of any record must degrade to a miss, never a
+crash; nothing that depends on the budget is stored; and a cache shared
+by the processes of a 2-worker pool must give the same answers as a
+serial sweep.
 """
 
 import json
@@ -14,22 +16,12 @@ from dataclasses import fields, replace
 from repro.bench import compile_suite, make_suite
 from repro.cli import run as cli_run
 from repro.core import (CONC, A1, A2, AnalysisCache, AnalysisTask,
-                        analyze_procedure, analyze_program, assemble_results,
-                        conservative_program)
+                        ProcedureReport, analyze_procedure, analyze_program,
+                        assemble_results, conservative_program)
+from repro.core.deadfail import AnalysisTimeout, DeadFailOracle
 from repro.lang import parse_program, typecheck
 from repro.lang.transform import prepare_procedure
 from repro.serve.pool import WorkerPool
-
-# wall-clock fields, excluded only where a result was *recomputed*
-# (after corruption); pure warm hits are compared with full equality
-_VOLATILE = {"seconds", "phases", "budget_remaining", "solver_stats",
-             "queries", "cache_hits", "queries_saved"}
-
-
-def _stable(reports):
-    return [{f.name: getattr(r, f.name) for f in fields(r)
-             if f.name not in _VOLATILE} for r in reports]
-
 
 def _program():
     suite = make_suite("moufilter", scale=0.5)
@@ -48,13 +40,12 @@ procedure Foo(c: int)
 }
 """
 
-
 def _small_program():
     return typecheck(parse_program(SRC))
 
 
 # ----------------------------------------------------------------------
-# warm == cold, bit-identically
+# warm == cold, each with its own telemetry
 # ----------------------------------------------------------------------
 
 def test_warm_report_is_bit_identical(tmp_path):
@@ -63,9 +54,14 @@ def test_warm_report_is_bit_identical(tmp_path):
                            cache_dir=str(tmp_path))
     warm = analyze_program(program, config=CONC, proc_names=names,
                            cache_dir=str(tmp_path))
-    # full dataclass equality, wall-clock fields included: hits return
-    # the stored report verbatim
+    # the results are identical; the telemetry is the warm run's own
     assert warm.reports == cold.reports
+    assert [r.result_dict() for r in warm.reports] == \
+        [r.result_dict() for r in cold.reports]
+    assert all(r.source == "computed" for r in cold.reports)
+    assert all(r.source == "disk" and r.queries == 0 and not r.phases
+               and not r.solver_stats for r in warm.reports)
+    assert sum(r.queries for r in cold.reports) > 0
     assert cold.cache_stats["misses"] == len(names)
     assert cold.cache_stats["stores"] == len(names)
     assert warm.cache_stats["hits"] == len(names)
@@ -79,7 +75,7 @@ def test_warm_matches_uncached_on_stable_fields(tmp_path):
                     cache_dir=str(tmp_path))
     warm = analyze_program(program, config=A2, proc_names=names,
                            cache_dir=str(tmp_path))
-    assert _stable(warm.reports) == _stable(plain.reports)
+    assert warm.reports == plain.reports
 
 
 def test_cache_off_by_default(tmp_path):
@@ -155,6 +151,45 @@ def test_timed_out_analyses_are_never_cached(tmp_path):
     assert len(list(tmp_path.iterdir())) == len(names) - n_timed
 
 
+def test_records_hold_results_only(tmp_path):
+    program, names = _program()
+    analyze_program(program, config=CONC, proc_names=names,
+                    cache_dir=str(tmp_path))
+    telemetry = {f.name for f in fields(ProcedureReport) if not f.compare}
+    for path in tmp_path.glob("*.json"):
+        rec = json.loads(path.read_text())
+        assert "wall" not in rec
+        assert not telemetry & set(rec["report"])
+
+
+def test_hit_reports_its_own_budget(tmp_path):
+    program = _small_program()
+    cache = AnalysisCache(tmp_path)
+    analyze_procedure(program, "Foo", timeout=10.0, cache=cache)
+    hit = analyze_procedure(program, "Foo", timeout=99.0, cache=cache)
+    assert hit.source == "disk"
+    assert 98.0 < hit.budget_remaining <= 99.0
+    assert 0.0 <= hit.seconds < 1.0
+
+
+def test_post_phase_budget_expiry_is_not_cached(tmp_path, monkeypatch):
+    # The budget running out while simplifying the displayed specs makes
+    # them depend on wall-clock: such a report is shown, never stored.
+    def expire(self, clauses):
+        raise AnalysisTimeout()
+
+    monkeypatch.setattr(DeadFailOracle, "simplify_clauses", expire)
+    program = _small_program()
+    cache = AnalysisCache(tmp_path)
+    first = analyze_procedure(program, "Foo", cache=cache)
+    assert first.specs and not first.timed_out
+    assert first.post_timed_out
+    assert cache.stores == 0
+    again = analyze_procedure(program, "Foo", cache=cache)
+    assert again.source == "computed"
+    assert (cache.hits, cache.misses) == (0, 2)
+
+
 # ----------------------------------------------------------------------
 # corruption tolerance
 # ----------------------------------------------------------------------
@@ -172,7 +207,7 @@ def _assert_recovers(tmp_path, cold, n_bad):
     program, names = _program()
     warm = analyze_program(program, config=CONC, proc_names=names,
                            cache_dir=str(tmp_path))
-    assert _stable(warm.reports) == _stable(cold.reports)
+    assert warm.reports == cold.reports
     assert warm.cache_stats["invalidations"] == n_bad
     assert warm.cache_stats["stores"] == n_bad  # bad records re-stored
     # ... and the restored records serve verbatim again
@@ -255,7 +290,7 @@ def test_parallel_shared_cache_equals_serial(tmp_path):
     with WorkerPool(workers=2) as pool:
         cold = _pool_sweep(pool, "analyze", program, names, str(tmp_path))
         warm = _pool_sweep(pool, "analyze", program, names, str(tmp_path))
-    assert _stable(cold.reports) == _stable(serial.reports)
+    assert cold.reports == serial.reports
     assert cold.cache_stats["stores"] == len(names)
     assert warm.reports == cold.reports
     assert warm.cache_stats["hits"] == len(names)

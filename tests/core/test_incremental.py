@@ -14,8 +14,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import CONC
-from repro.core.cache import AnalysisCache
 from repro.core.incremental import (load_manifest, plan_increment,
                                     render_delta, run_ci, save_manifest,
                                     warning_delta)
@@ -24,7 +22,6 @@ from repro.core.interproc import (call_graph, callers_of, spec_dependents,
 from repro.frontend.ingest import (IngestError, ingest_directory,
                                    merge_programs)
 from repro.lang import parse_program, typecheck
-from repro.lang.transform import prepare_procedure
 from repro.vc.encode import procedure_fingerprint
 
 FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" / "ci_repo"
@@ -129,26 +126,26 @@ class TestPlanning:
         assert rerun.plan.reason == "config"
         assert len(rerun.plan.order) == 4
 
-    def test_ordering_changed_first_then_slow_first(self, tmp_path):
+    def test_ordering_changed_first_then_by_name(self, tmp_path):
         repo = make_repo(tmp_path)
         result = run_ci(repo, tmp_path / "m.json")
         previous = result.manifest
-        # Fabricate a diff: Buggy and Clamp changed (Clamp historically
-        # slower), and a stale spec fingerprint for Release dirtying its
-        # caller Main as dependent (Release's own surface is untouched,
-        # so Release itself stays clean in this fabricated manifest).
+        # Fabricate a diff: Buggy and Clamp changed, and a stale spec
+        # fingerprint for Release dirtying its caller Main as dependent
+        # (Release's own surface is untouched, so Release itself stays
+        # clean in this fabricated manifest).
         previous["procedures"]["Buggy"]["surface_fp"] = "stale"
-        previous["procedures"]["Buggy"]["wall"] = 0.5
         previous["procedures"]["Clamp"]["surface_fp"] = "stale"
-        previous["procedures"]["Clamp"]["wall"] = 9.0
         previous["spec_fps"]["Release"] = "stale"
+        # a v1-style wall cost must not reorder the plan any more
+        previous["procedures"]["Clamp"]["wall"] = 9.0
         ingested = ingest_directory(repo)
         plan = plan_increment(ingested, previous)
         assert plan.classes == {"Buggy": "changed", "Clamp": "changed",
                                 "Main": "dependent", "Release": "clean"}
-        # rank 0 (changed) before rank 1 (dependent); historically
-        # slow first within the rank.
-        assert plan.order == ["Clamp", "Buggy", "Main"]
+        # rank 0 (changed) before rank 1 (dependent); by name within
+        # the rank.
+        assert plan.order == ["Buggy", "Clamp", "Main"]
         assert plan.priorities == {"Clamp": 0, "Buggy": 0, "Main": 1}
 
 
@@ -238,9 +235,10 @@ class TestRenameCacheHit:
         assert rerun.plan.order == ["Clip"]
         assert rerun.stats["cache"]["hits"] == 1
         assert rerun.stats["cache"]["misses"] == 0
-        assert rerun.stats["queries"] == 0  # all replayed from disk
-        # the loaded report carries the *new* name
+        assert rerun.stats["queries"] == 0  # served from disk
+        # the loaded report carries the *new* name and its own telemetry
         assert rerun.reports["Clip"].proc_name == "Clip"
+        assert rerun.reports["Clip"].source == "disk"
         assert rerun.manifest["procedures"]["Clip"]["file"] == "clip.bpl"
 
     def test_renamed_warnings_relabel_in_delta(self, tmp_path):
@@ -257,37 +255,29 @@ class TestRenameCacheHit:
         assert "Buggy:A5" in rerun.delta["high"]["fixed"]
 
 
-class TestWallPlumbing:
-    """Satellite: per-procedure wall timings ride the manifest and the
-    cache record, feeding the historically-slow-first heuristic."""
+class TestNoTelemetryPersisted:
+    """The manifest and the cache records hold results only: nothing a
+    run measures about itself is written down."""
 
-    def test_manifest_records_walls(self, tmp_path):
+    def test_cold_manifests_are_byte_identical(self, tmp_path):
         repo = make_repo(tmp_path)
-        result = run_ci(repo, tmp_path / "m.json")
-        walls = {n: e["wall"]
-                 for n, e in result.manifest["procedures"].items()}
-        assert set(walls) == {"Release", "Main", "Buggy", "Clamp"}
-        assert all(w >= 0.0 for w in walls.values())
-        assert walls["Buggy"] > 0.0
+        run_ci(repo, tmp_path / "a.json")
+        run_ci(repo, tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == \
+            (tmp_path / "b.json").read_bytes()
 
-    def test_cache_records_carry_wall_and_wall_of_reads_it(self, tmp_path):
+    def test_cache_records_carry_no_wall(self, tmp_path):
         repo = make_repo(tmp_path)
         cache_dir = tmp_path / "cache"
-        run_ci(repo, tmp_path / "m.json", cache_dir=str(cache_dir))
+        cold = run_ci(repo, tmp_path / "m.json", cache_dir=str(cache_dir))
         records = [json.loads(p.read_text())
                    for p in cache_dir.glob("*.json")]
-        assert records and all("wall" in rec for rec in records)
-        # wall_of answers from the record without touching hit counters
-        program = ingest_directory(repo).program
-        cache = AnalysisCache(cache_dir)
-        prepared = prepare_procedure(program, program.proc("Buggy"),
-                                     havoc_returns=CONC.havoc_returns,
-                                     unroll_depth=2)
-        key = cache.analysis_key(program, prepared, config=CONC,
-                                 prune_k=None, unroll_depth=2, max_preds=12)
-        wall = cache.wall_of(key)
-        assert isinstance(wall, float) and wall > 0.0
-        assert cache.hits == 0 and cache.misses == 0
+        assert len(records) == 4
+        assert not any("wall" in rec or "seconds" in rec["report"]
+                       for rec in records)
+        # executed queries are a plain sum over the fresh reports
+        assert cold.stats["queries"] == \
+            sum(r.queries for r in cold.reports.values()) > 0
 
 
 class TestManifestIO:

@@ -3,7 +3,7 @@
 Clause-DB reduction, the incremental LIA trail and the cross-query
 theory-lemma cache each reshape the *search* (counters and timings move)
 but every verdict — fail/dead sets, warnings, specs, classifications —
-must be bit-identical with each knob off.  Checked on the committed fuzz
+must be identical with each knob off.  Checked on the committed fuzz
 corpus and on fig5-small style generated suites."""
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.core.analysis import analyze_program
 from repro.core.config import ALL_CONFIGS
 from repro.core.deadfail import DeadFailOracle, clear_baseline_cache
 from repro.core.predicates import mine_predicates
-from repro.fuzz.oracles import _fields
 from repro.lang.parser import parse_program
 from repro.lang.transform import prepare_procedure
 from repro.lang.typecheck import typecheck
@@ -43,7 +42,7 @@ def _analyze(program, **overrides):
     with tuning(**overrides):
         report = analyze_program(program, timeout=None, lia_budget=20000,
                                  max_preds=6)
-    return [(r.proc_name, _fields(r)) for r in report.reports]
+    return report.reports
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)

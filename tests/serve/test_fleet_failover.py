@@ -7,7 +7,6 @@ undisturbed run."""
 import os
 import subprocess
 import time
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -40,7 +39,6 @@ procedure {name}(c: int, buf: int, cmd: int) modifies Freed;
 }}
 """
 
-
 def _program_src(prefix: str, count: int) -> str:
     # Content addresses ignore procedure names, so every generated
     # procedure gets a *body* unique to (prefix, i) — otherwise all of
@@ -50,15 +48,6 @@ def _program_src(prefix: str, count: int) -> str:
     return "var Freed: [int]int;\n" + "".join(
         _FIG1_BODY.format(name=f"{prefix}{i}", salt=salt0 * 100 + i)
         for i in range(count))
-
-
-_VOLATILE = {"seconds", "phases", "budget_remaining", "solver_stats",
-             "queries", "cache_hits", "queries_saved"}
-
-
-def _stable(report):
-    return [{f.name: getattr(r, f.name) for f in fields(r)
-             if f.name not in _VOLATILE} for r in report.reports]
 
 
 def _env():
@@ -101,7 +90,7 @@ def test_sanity_analyze_through_subprocess_fleet(fleet):
     with ServeClient(router_sock) as c:
         served = c.analyze(src)
     batch = analyze_program(typecheck(parse_program(src)), config=CONC)
-    assert _stable(served) == _stable(batch)
+    assert served.reports == batch.reports
 
 
 def test_sigkill_replica_mid_request_failover(fleet):
@@ -134,7 +123,7 @@ def test_sigkill_replica_mid_request_failover(fleet):
     from repro.core.analysis import program_report_from_json
     served = program_report_from_json(res["report"])
     batch = analyze_program(program, config=CONC)
-    assert _stable(served) == _stable(batch)
+    assert served.reports == batch.reports
 
     # The router buried the replica and re-homed its keyspace.
     assert victim in router_thread.server._dead

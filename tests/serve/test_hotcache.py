@@ -84,6 +84,20 @@ class TestCodecs:
         # a hot hit did no disk-cache work: stats must not replay
         assert back.cache_stats is None
 
+    def test_records_hold_results_only(self):
+        res = TaskResult(kind="analyze", proc_name="p",
+                         report=self._report(warnings=["A1"], seconds=2.5,
+                                             queries=40,
+                                             phases={"cover": 1.0}))
+        rec = result_to_record(res)
+        assert rec["report"] == res.report.result_dict()
+        assert not {"seconds", "queries", "phases", "source"} & \
+            set(rec["report"])
+        back = record_to_result(rec).report
+        assert back == res.report
+        assert (back.source, back.seconds, back.queries, back.phases) == \
+            ("hot", 0.0, 0, {})
+
     def test_cons_roundtrip(self):
         res = TaskResult(kind="cons", proc_name="p",
                          cons_warnings=["w1", "w2"])
@@ -98,6 +112,9 @@ class TestCodecs:
         timed = TaskResult(kind="analyze", proc_name="p",
                            report=self._report(timed_out=True))
         assert result_to_record(timed) is None
+        post = TaskResult(kind="analyze", proc_name="p",
+                          report=self._report(post_timed_out=True))
+        assert result_to_record(post) is None
         cons_to = TaskResult(kind="cons", proc_name="p",
                              cons_warnings=[], cons_timed_out=True)
         assert result_to_record(cons_to) is None

@@ -5,11 +5,11 @@ from under the router) and clean shutdown.  Process-death failover
 lives in ``test_fleet_failover.py``."""
 
 import logging
-from dataclasses import fields
 
 import pytest
 
-from repro.core import CONC, analyze_program, conservative_program
+from repro.core import (CONC, analyze_program, conservative_program,
+                        program_report_from_json)
 from repro.core.tasks import AnalysisTask, coalesce_key
 from repro.lang import parse_program, typecheck
 from repro.serve import (FleetThread, RouterThread, ServeClient,
@@ -50,14 +50,6 @@ SUBMIT_REJECTIONS = [
     ({"lang": "rust", "source": FIG1_BPL}, "unknown lang"),
 ]
 
-_VOLATILE = {"seconds", "phases", "budget_remaining", "solver_stats",
-             "queries", "cache_hits", "queries_saved"}
-
-
-def _stable(report):
-    return [{f.name: getattr(r, f.name) for f in fields(r)
-             if f.name not in _VOLATILE} for r in report.reports]
-
 
 @pytest.fixture(scope="module")
 def fleet(tmp_path_factory):
@@ -88,7 +80,7 @@ class TestRouting:
         served = client.analyze(FIG1_BPL)
         program = typecheck(parse_program(FIG1_BPL))
         batch = analyze_program(program, config=CONC)
-        assert _stable(served) == _stable(batch)
+        assert served.reports == batch.reports
 
     def test_cons_matches_batch(self, client):
         served = client.conservative(FIG1_BPL)
@@ -188,7 +180,11 @@ class TestCoalescingAndHotTier:
             r1 = c1.result(acc1["id"])
             r2 = c2.result(acc2["id"])
         assert _replica_counter(fleet, "coalesced_tasks") == before + 1
-        assert r1["report"]["reports"] == r2["report"]["reports"]
+        r1 = program_report_from_json(r1["report"])
+        r2 = program_report_from_json(r2["report"])
+        assert r1.reports == r2.reports
+        assert [r.source for r in r1.reports] == ["computed"]
+        assert [r.source for r in r2.reports] == ["coalesced"]
 
     def test_repeat_request_served_from_hot_tier(self, fleet):
         src = FIG1_BPL.replace("Foo", "HotProbe").replace(
@@ -199,6 +195,7 @@ class TestCoalescingAndHotTier:
             rep = c.analyze(src)
         assert _replica_counter(fleet, "hot_hits") == before + 1
         assert not rep.reports[0].failed
+        assert rep.reports[0].source == "hot"
 
 
 class TestThreadFailover:
@@ -230,7 +227,7 @@ class TestThreadFailover:
             victim_idx = lossy_fleet.replica_addrs.index(victim)
             lossy_fleet.servers[victim_idx].stop()  # drain + socket gone
             after = c.analyze(MANY_PROCS_BPL)
-        assert _stable(after) == _stable(full)
+        assert after.reports == full.reports
         assert len(router.ring) == 1
         assert victim in router._dead
         counters = router.metrics.snapshot()["counters"]

@@ -7,11 +7,11 @@ import logging
 import socket
 import threading
 import time
-from dataclasses import fields
 
 import pytest
 
-from repro.core import CONC, analyze_program, conservative_program
+from repro.core import (CONC, analyze_program, conservative_program,
+                        program_report_from_json)
 from repro.core.tasks import AnalysisTask
 from repro.lang import parse_program, typecheck
 from repro.serve import ServeClient, ServeError, ServerThread
@@ -58,15 +58,6 @@ SUBMIT_REJECTIONS = [
     ({"lang": "rust", "source": FIG1_BPL}, "unknown lang"),
 ]
 
-# wall-clock / machine-local fields excluded from equality checks
-_VOLATILE = {"seconds", "phases", "budget_remaining", "solver_stats",
-             "queries", "cache_hits", "queries_saved"}
-
-
-def _stable(report):
-    return [{f.name: getattr(r, f.name) for f in fields(r)
-             if f.name not in _VOLATILE} for r in report.reports]
-
 
 @pytest.fixture(scope="module")
 def server(tmp_path_factory):
@@ -91,7 +82,7 @@ class TestVerbs:
         served = client.analyze(FIG1_BPL)
         program = typecheck(parse_program(FIG1_BPL))
         batch = analyze_program(program, config=CONC)
-        assert _stable(served) == _stable(batch)
+        assert served.reports == batch.reports
         assert served.config_name == "Conc"
 
     def test_cons_matches_batch(self, client):
@@ -193,11 +184,29 @@ class TestCoalescing:
                 b = c.submit(FIG1_BPL)
                 assert a["coalesced"] == 0
                 assert b["coalesced"] == 1
-                ra = c.result(a["id"])["report"]
-                rb = c.result(b["id"])["report"]
-                assert ra == rb
+                ra = program_report_from_json(c.result(a["id"])["report"])
+                rb = program_report_from_json(c.result(b["id"])["report"])
+                assert ra.reports == rb.reports
+                assert [r.source for r in ra.reports] == ["computed"]
+                assert [r.source for r in rb.reports] == ["coalesced"]
                 assert c.metrics()["counters"]["coalesced_tasks"] >= 1
             blocker.result(timeout=30)
+
+
+class TestHotTier:
+    def test_served_repeat_is_a_hot_hit(self, tmp_path):
+        sock = str(tmp_path / "s.sock")
+        with ServerThread(sock, pool_size=1, queue_limit=8,
+                          hot_bytes=1 << 20) as st:
+            with ServeClient(sock) as c:
+                first = c.analyze(TWO_PROCS_BPL)
+                again = c.analyze(TWO_PROCS_BPL)
+        assert again.reports == first.reports
+        assert [r.source for r in first.reports] == ["computed"] * 2
+        assert [r.source for r in again.reports] == ["hot"] * 2
+        assert all(r.queries == 0 and r.seconds == 0.0 and not r.phases
+                   for r in again.reports)
+        assert st.server.hot_cache.hits == 2
 
 
 class TestBackpressure:
