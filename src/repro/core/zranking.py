@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from ..lang.ast import Program
 from ..lang.transform import prepare_procedure
 from ..vc.encode import EncodedProcedure
+from .analysis import _BUDGET_ERRORS
 from .deadfail import Budget, DeadFailOracle
 
 
@@ -81,7 +82,7 @@ def z_rank(program: Program, p0: float = 0.9,
                 observations.append((name, ev.label,
                                      _population_of(ev.label),
                                      ev.label in failing_labels))
-        except Exception:
+        except _BUDGET_ERRORS:
             continue  # timeouts: that procedure contributes nothing
     counts: dict[str, tuple[int, int]] = {}
     for _, _, pop, failed in observations:

@@ -22,8 +22,6 @@ pins the supported fragment.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .api import Solver
 from .dpllt import _lin_diff, linearize
 from .terms import Op, Sort, Term
@@ -199,7 +197,7 @@ def _try_build(solver: Solver, atoms, bound: int, salt: int) -> Model | None:
             if tid not in assigned:
                 return None
             total += coeff * assigned[tid]
-        return int(total) if total.denominator == 1 else None
+        return total
 
     classes = theory.euf.equivalence_classes()
     # Ackermann propagation: LIA sees each select and each uninterpreted
@@ -290,7 +288,7 @@ def _try_build(solver: Solver, atoms, bound: int, salt: int) -> Model | None:
                 assigned[key] = v
                 ack, child_merged = ackermann_eqs(merged)
                 trial = work_eqs + \
-                    [({key: Fraction(1)}, Fraction(-v),
+                    [({key: 1}, -v,
                       frozenset({"pin"}))] + ack
                 if lia.check(trial, ineqs, diseqs) is None and \
                         pin_search(i + 1, trial, diseqs, child_merged):

@@ -1,19 +1,31 @@
 """Linear integer arithmetic by explained Fourier–Motzkin elimination.
 
 Constraints are linear forms over opaque variable keys (the DPLL(T) layer
-uses term ids of non-arithmetic subterms).  Coefficients are exact
-``Fraction`` values; every constraint carries a frozenset of *premise
-tokens* so an infeasibility verdict comes with an explanation (the union of
-the premises of the constraints combined into the contradiction).
+uses term ids of non-arithmetic subterms).  Coefficients and constants are
+Python ``int`` values — terms have no division, so every row the solver
+is given is integral, and elimination keeps it so; every constraint
+carries a frozenset of *premise tokens* so an infeasibility verdict comes
+with an explanation (the union of the premises of the constraints
+combined into the contradiction).
 
 Pipeline per :func:`check` call:
 
 1. Gaussian elimination of equations (with per-equation integer gcd test).
-2. Integer tightening of inequalities (normalize to integer coefficients,
-   divide by the gcd of the variable coefficients, floor the constant).
+2. Integer tightening of inequalities (divide by the gcd of the variable
+   coefficients, floor the constant).
 3. Fourier–Motzkin elimination, cheapest variable first.
 4. Disequalities last: ``e != 0`` conflicts iff both ``e <= -1`` and
    ``e >= 1`` are infeasible with the rest.
+
+Elimination is fraction-free: :func:`_eliminate` substitutes an equation
+``e·x + r = 0`` into a row ``c·x + s`` as ``(|e|/g)·row − (sign(e)·c/g)·eq``
+with ``g = gcd(c, e)``, which is the rational substitution result
+``s − (c/e)·r`` times the positive integer ``|e|/g``.  Tightening maps
+every positive multiple of a row to the same primitive row with the same
+floored constant, and the gcd test and the pivot choice only compare
+ratios of coefficients, so the tightened rows — and with them every
+conflict core, memo key, bound and pruning choice — are exactly what
+elimination over the rationals would give.
 
 Completeness note (see DESIGN.md): steps 1–3 decide rational feasibility
 exactly; the gcd/floor tightenings give integer reasoning sufficient for
@@ -35,8 +47,7 @@ already-reduced rows — see :meth:`LiaSolver.context`.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import floor, gcd
+from math import gcd
 
 
 class LiaBudgetExceeded(Exception):
@@ -53,50 +64,82 @@ class LiaBudgetExceeded(Exception):
 PR3_PIVOT_BUG = False
 
 
-# A linear form is dict[key, Fraction]; a constraint is
+# A linear form is dict[key, int]; a constraint is
 # (coeffs, const, premises) meaning  sum(coeffs * x) + const <= 0  (an
-# inequality) or == 0 (an equation).
+# inequality) or == 0 (an equation).  A substitution is
+# (var, (coeffs, const), premises): an equation normalized by _solve_eq,
+# eliminating its pivot var.
 
 LinForm = dict
 Constraint = tuple
 
+_NO_PREM: frozenset = frozenset()
 
-def lin_add(a: LinForm, b: LinForm) -> LinForm:
-    out = dict(a)
-    for k, v in b.items():
-        nv = out.get(k, Fraction(0)) + v
+
+def _tighten(coeffs: LinForm, const: int) -> tuple[LinForm, int]:
+    """Integer tightening of ``sum coeffs + const <= 0``."""
+    g = gcd(*coeffs.values())
+    if g <= 1:
+        return coeffs, const
+    # sum a_i x_i <= -c  ->  sum (a_i/g) x_i <= floor(-c/g)
+    return {k: v // g for k, v in coeffs.items()}, -((-const) // g)
+
+
+def _eliminate(row: tuple, eq: tuple, var) -> tuple[LinForm, int]:
+    """Substitute the equation ``eq`` into ``row`` (both ``(coeffs,
+    const)`` with ``var`` in their coefficients), fraction-free: the
+    result is the rational substitution result times ``|e|/g > 0``."""
+    coeffs, const = row
+    ecoeffs, econst = eq
+    c = coeffs[var]
+    e = ecoeffs[var]
+    g = gcd(c, e)
+    m = abs(e) // g
+    f = c // g if e > 0 else -c // g
+    out = dict(coeffs) if m == 1 else {k: m * v for k, v in coeffs.items()}
+    for k, v in ecoeffs.items():
+        nv = out.get(k, 0) - f * v
         if nv:
             out[k] = nv
         else:
-            out.pop(k, None)
-    return out
+            del out[k]
+    return out, m * const - f * econst
 
 
-def lin_scale(a: LinForm, s: Fraction) -> LinForm:
-    if not s:
-        return {}
-    return {k: v * s for k, v in a.items()}
+def _substitute(subs, coeffs: LinForm, const: int, prem: frozenset):
+    """Run a constraint through a substitution chain."""
+    for var, eq, sub_prem in subs:
+        if var in coeffs:
+            coeffs, const = _eliminate((coeffs, const), eq, var)
+            prem = prem | sub_prem
+    return coeffs, const, prem
 
 
-def _tighten(coeffs: LinForm, const: Fraction) -> tuple[LinForm, Fraction]:
-    """Integer tightening of ``sum coeffs + const <= 0``."""
-    if not coeffs:
-        return coeffs, const
-    denom = 1
-    for v in coeffs.values():
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    denom = denom * const.denominator // gcd(denom, const.denominator)
-    ints = {k: int(v * denom) for k, v in coeffs.items()}
-    c = const * denom
-    g = 0
-    for v in ints.values():
-        g = gcd(g, abs(v))
-    if g == 0:
-        return {}, const
-    # sum a_i x_i <= -c  ->  sum (a_i/g) x_i <= floor(-c/g)
-    rhs = Fraction(floor(-c / g))
-    new_coeffs = {k: Fraction(v, g) for k, v in ints.items()}
-    return new_coeffs, -rhs
+def _solve_eq(coeffs: LinForm, const: int):
+    """Prepare a non-empty equation for elimination: None if it has no
+    integer solution (gcd test), else ``(coeffs, const, var)`` divided by
+    the coefficients' gcd, with ``var`` the pivot to eliminate.
+
+    The pivot must be chosen with care: eliminating ``x`` from
+    ``2x + y = 0`` substitutes ``x = -y/2`` and *forgets* that ``x`` is an
+    integer (i.e. that ``y`` is even), making the reduced system
+    satisfiable at points the original is not — found by the differential
+    fuzzer as a "sat" answer whose only models were half-integral.  A
+    pivot whose coefficient divides every other coefficient and the
+    constant is integer-lossless (the pivot's value is an integer for any
+    integer assignment of the rest); prefer the smallest such, and fall
+    back to the first variable (rational-complete elimination, e.g. for
+    ``2x + 3y + 1 = 0``) when there is none."""
+    g = gcd(*coeffs.values())
+    if const % g:
+        return None
+    if g != 1:
+        coeffs = {k: v // g for k, v in coeffs.items()}
+        const //= g
+    var = LiaSolver._lossless_pivot(coeffs, const)
+    if var is None:
+        var = next(iter(coeffs))
+    return coeffs, const, var
 
 
 _MISS = object()
@@ -114,19 +157,8 @@ class _Presolved:
         self.reduced = reduced
         self.subs = subs
 
-    def apply(self, constraint):
-        coeffs, const, prem = constraint
-        coeffs = dict(coeffs)
-        prem = frozenset(prem)
-        for var, sub_coeffs, sub_const, sub_prem in self.subs:
-            c = coeffs.get(var)
-            if not c:
-                continue
-            del coeffs[var]
-            coeffs = lin_add(coeffs, lin_scale(sub_coeffs, c))
-            const = const + c * sub_const
-            prem = prem | sub_prem
-        return (coeffs, const, prem)
+    def apply(self, coeffs, const, prem):
+        return _substitute(self.subs, coeffs, const, prem)
 
 
 class _TrailContext:
@@ -144,11 +176,10 @@ class _TrailContext:
         self.rows = rows
         self.conflict = conflict
 
-    def _apply(self, constraint):
-        c = self.lia._apply_subs(
-            (dict(constraint[0]), constraint[1], frozenset(constraint[2])))
+    def _apply(self, coeffs, const, prem):
+        c = _substitute(self.lia._subs, coeffs, const, prem)
         if self.pre is not None:
-            c = self.pre.apply(c)
+            c = self.pre.apply(*c)
         return c
 
     def feasible(self) -> set | None:
@@ -159,34 +190,19 @@ class _TrailContext:
         core = self.lia._fm(self.rows)
         return set(core) if core is not None else None
 
-    def entails_eq(self, coeffs: LinForm, const: Fraction) -> set | None:
+    def entails_eq(self, coeffs: LinForm, const: int) -> set | None:
         """Premises entailing ``sum coeffs + const = 0``, or None."""
         if self.conflict is not None:
             return set(self.conflict)
-        lo = self._apply((coeffs, const + 1, frozenset()))
-        hi = self._apply((lin_scale(coeffs, Fraction(-1)), -const + 1,
-                          frozenset()))
-        core_lo = self.lia._fm_with(self.rows, lo)
-        if core_lo is None:
-            return None
-        core_hi = self.lia._fm_with(self.rows, hi)
-        if core_hi is None:
-            return None
-        return set(core_lo) | set(core_hi)
+        return self.lia._refute_both(self.rows, self._apply, coeffs, const)
 
     def diseq_conflict(self) -> set | None:
         """First trail disequality refuted on both sides, as a conflict."""
         for dcoeffs, dconst, dprem in self.lia._dis:
-            lo = self._apply((dcoeffs, dconst + 1, frozenset()))
-            hi = self._apply((lin_scale(dcoeffs, Fraction(-1)),
-                              -dconst + 1, frozenset()))
-            core_lo = self.lia._fm_with(self.rows, lo)
-            if core_lo is None:
-                continue
-            core_hi = self.lia._fm_with(self.rows, hi)
-            if core_hi is None:
-                continue
-            return set(core_lo) | set(core_hi) | set(dprem)
+            core = self.lia._refute_both(self.rows, self._apply,
+                                         dcoeffs, dconst)
+            if core is not None:
+                return core | dprem
         return None
 
 
@@ -229,7 +245,7 @@ class LiaSolver:
             del self._dis[dis_len:]
             self._conflict = conflict
 
-    def push(self, kind: str, coeffs: LinForm, const: Fraction,
+    def push(self, kind: str, coeffs: LinForm, const: int,
              prem: frozenset) -> set | None:
         """Assert one fact (kind ``"eq"``, ``"le"`` or ``"ne"``); returns
         a conflict premise set or None.  A conflicting fact stays on the
@@ -242,9 +258,9 @@ class LiaSolver:
             return set(self._conflict)
         prem = frozenset(prem)
         if kind == "ne":
-            self._dis.append((dict(coeffs), const, prem))
+            self._dis.append((coeffs, const, prem))
             return None
-        coeffs, const, prem = self._apply_subs((dict(coeffs), const, prem))
+        coeffs, const, prem = _substitute(self._subs, coeffs, const, prem)
         if kind == "eq":
             return self._push_eq(coeffs, const, prem)
         return self._push_ineq(coeffs, const, prem, snap)
@@ -255,7 +271,7 @@ class LiaSolver:
         if self._conflict is not None:
             return _TrailContext(self, None, None, self._conflict)
         if extra_eqs:
-            applied = [self._apply_subs((dict(c), k, frozenset(p)))
+            applied = [_substitute(self._subs, c, k, frozenset(p))
                        for c, k, p in extra_eqs]
             pre = self._presolve(applied, self._rows)
             if pre.conflict is not None:
@@ -266,18 +282,6 @@ class LiaSolver:
 
     # ------------------------------------------------------------------
 
-    def _apply_subs(self, constraint):
-        coeffs, const, prem = constraint
-        for var, sub_coeffs, sub_const, sub_prem in self._subs:
-            c = coeffs.get(var)
-            if not c:
-                continue
-            del coeffs[var]
-            coeffs = lin_add(coeffs, lin_scale(sub_coeffs, c))
-            const = const + c * sub_const
-            prem = prem | sub_prem
-        return coeffs, const, prem
-
     def _fail(self, prem) -> set:
         self._conflict = frozenset(prem)
         return set(prem)
@@ -285,44 +289,30 @@ class LiaSolver:
     def _push_eq(self, coeffs, const, prem) -> set | None:
         if not coeffs:
             return self._fail(prem) if const != 0 else None
-        denom = 1
-        for v in list(coeffs.values()) + [const]:
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-        int_coeffs = {k: int(v * denom) for k, v in coeffs.items()}
-        int_const = int(const * denom)
-        g = 0
-        for v in int_coeffs.values():
-            g = gcd(g, abs(v))
-        if g and int_const % g != 0:
+        solved = _solve_eq(coeffs, const)
+        if solved is None:
             return self._fail(prem)
-        var = self._lossless_pivot(int_coeffs, int_const)
-        if var is None:
-            var = next(iter(coeffs))
-        cv = coeffs[var]
-        rest = {k: v for k, v in coeffs.items() if k != var}
-        sub_coeffs = lin_scale(rest, Fraction(-1) / cv)
-        sub_const = -const / cv
-        if not rest:
-            # the equation fixes var: check against the known bounds
+        coeffs, const, var = solved
+        if len(coeffs) == 1:
+            # the equation fixes var (its coefficient is now +-1): check
+            # the value against the known bounds
+            value = -const * coeffs[var]
             lo, lop, hi, hip = self._bounds.get(var, (None,) * 4)
-            if lo is not None and sub_const < lo:
+            if lo is not None and value < lo:
                 return self._fail(prem | lop)
-            if hi is not None and sub_const > hi:
+            if hi is not None and value > hi:
                 return self._fail(prem | hip)
-        self._subs.append((var, sub_coeffs, sub_const,
-                           frozenset() if PR3_PIVOT_BUG else prem))
+        eq = (coeffs, const)
+        sub_prem = _NO_PREM if PR3_PIVOT_BUG else prem
+        self._subs.append((var, eq, sub_prem))
         rows = []
-        for rc, rk, rp in self._rows:
-            c = rc.get(var)
-            if not c:
-                rows.append((rc, rk, rp))
+        for row in self._rows:
+            rc, rk, rp = row
+            if var not in rc:
+                rows.append(row)
                 continue
-            nc = dict(rc)
-            del nc[var]
-            nc = lin_add(nc, lin_scale(sub_coeffs, c))
-            nk = rk + c * sub_const
-            nc, nk = _tighten(nc, nk)
-            np_ = rp if PR3_PIVOT_BUG else rp | prem
+            nc, nk = _tighten(*_eliminate((rc, rk), eq, var))
+            np_ = rp | sub_prem
             if not nc:
                 if nk > 0:
                     self._rows = tuple(rows)
@@ -383,20 +373,13 @@ class LiaSolver:
         if core is not None:
             return set(core)
         for dcoeffs, dconst, dprem in diseqs:
-            lo = pre.apply((dict(dcoeffs), dconst + 1, frozenset()))
-            hi = pre.apply((lin_scale(dcoeffs, Fraction(-1)),
-                            -dconst + 1, frozenset()))
-            core_lo = self._fm_with(pre.reduced, lo)
-            if core_lo is None:
-                continue
-            core_hi = self._fm_with(pre.reduced, hi)
-            if core_hi is None:
-                continue
-            return set(core_lo) | set(core_hi) | set(dprem)
+            core = self._refute_both(pre.reduced, pre.apply, dcoeffs, dconst)
+            if core is not None:
+                return core | dprem
         return None
 
     def entails_eq(self, eqs: list[Constraint], ineqs: list[Constraint],
-                   coeffs: LinForm, const: Fraction) -> set | None:
+                   coeffs: LinForm, const: int) -> set | None:
         """Does the system entail ``sum coeffs + const = 0``?
 
         Returns the premise set of the entailment, or None.
@@ -404,25 +387,22 @@ class LiaSolver:
         pre = self._presolve(eqs, ineqs)
         if pre.conflict is not None:
             return set(pre.conflict)
-        lo = pre.apply((dict(coeffs), const + 1, frozenset()))
-        hi = pre.apply((lin_scale(coeffs, Fraction(-1)), -const + 1,
-                        frozenset()))
-        core_lo = self._fm_with(pre.reduced, lo)
+        return self._refute_both(pre.reduced, pre.apply, coeffs, const)
+
+    def _refute_both(self, reduced, apply, coeffs, const) -> set | None:
+        """Premises refuting both ``e <= -1`` and ``e >= 1`` next to
+        ``reduced`` (so entailing ``e = 0``), for ``e = sum coeffs +
+        const`` mapped into the reduced space by ``apply``; or None."""
+        core_lo = self._fm_with(reduced, apply(coeffs, const + 1, _NO_PREM))
         if core_lo is None:
             return None
-        core_hi = self._fm_with(pre.reduced, hi)
+        neg = {k: -v for k, v in coeffs.items()}
+        core_hi = self._fm_with(reduced, apply(neg, 1 - const, _NO_PREM))
         if core_hi is None:
             return None
         return set(core_lo) | set(core_hi)
 
     # ------------------------------------------------------------------
-
-    def _feasible(self, eqs: list[Constraint], ineqs: list[Constraint]) -> set | None:
-        pre = self._presolve(eqs, ineqs)
-        if pre.conflict is not None:
-            return set(pre.conflict)
-        core = self._fm(pre.reduced)
-        return set(core) if core is not None else None
 
     @staticmethod
     def _canon(cs, kind: str) -> frozenset:
@@ -443,76 +423,37 @@ class LiaSolver:
         return result
 
     def _presolve_raw(self, eqs, ineqs) -> "_Presolved":
-        work_eqs = [(dict(c), k, frozenset(p)) for c, k, p in eqs]
-        work_ineqs = [(dict(c), k, frozenset(p)) for c, k, p in ineqs]
-        subs: list[tuple] = []  # (var, sub_coeffs, sub_const, prem)
+        work_eqs = [(c, k, frozenset(p)) for c, k, p in eqs]
+        work_ineqs = [(c, k, frozenset(p)) for c, k, p in ineqs]
+        subs: list[tuple] = []
         while work_eqs:
             coeffs, const, prem = work_eqs.pop()
             if not coeffs:
                 if const != 0:
-                    return _Presolved(conflict=frozenset(prem))
+                    return _Presolved(conflict=prem)
                 continue
-            # integer gcd test (all our source coefficients are integers)
-            denom = 1
-            for v in list(coeffs.values()) + [const]:
-                denom = denom * v.denominator // gcd(denom, v.denominator)
-            int_coeffs = {k: int(v * denom) for k, v in coeffs.items()}
-            int_const = int(const * denom)
-            g = 0
-            for v in int_coeffs.values():
-                g = gcd(g, abs(v))
-            if g and int_const % g != 0:
-                return _Presolved(conflict=frozenset(prem))
-            # Solve for some variable and substitute everywhere.  The
-            # pivot must be chosen with care: eliminating ``x`` from
-            # ``2x + y = 0`` substitutes ``x = -y/2`` and *forgets* that
-            # ``x`` is an integer (i.e. that ``y`` is even), making the
-            # reduced system satisfiable at points the original is not —
-            # found by the differential fuzzer as a "sat" answer whose
-            # only models were half-integral.  A pivot whose coefficient
-            # divides every other coefficient and the constant is
-            # integer-lossless (the pivot's value is an integer for any
-            # integer assignment of the rest); prefer the smallest such.
-            var = self._lossless_pivot(int_coeffs, int_const)
-            if var is None:
-                # no lossless pivot (e.g. 2x + 3y + 1 = 0): fall back to
-                # the rational-complete elimination, as before
-                var = next(iter(coeffs))
-            cv = coeffs[var]
-            rest = {k: v for k, v in coeffs.items() if k != var}
-            sub_coeffs = lin_scale(rest, Fraction(-1) / cv)
-            sub_const = -const / cv
-
-            def subst(target):
-                tcoeffs, tconst, tprem = target
-                c = tcoeffs.get(var)
-                if not c:
-                    return target
-                ncoeffs = dict(tcoeffs)
-                del ncoeffs[var]
-                ncoeffs = lin_add(ncoeffs, lin_scale(sub_coeffs, c))
-                nconst = tconst + c * sub_const
-                return (ncoeffs, nconst,
-                        tprem if PR3_PIVOT_BUG else tprem | prem)
-
-            work_eqs = [subst(e) for e in work_eqs]
-            work_ineqs = [subst(i) for i in work_ineqs]
-            subs.append((var, sub_coeffs, sub_const,
-                         frozenset() if PR3_PIVOT_BUG else frozenset(prem)))
+            solved = _solve_eq(coeffs, const)
+            if solved is None:
+                return _Presolved(conflict=prem)
+            coeffs, const, var = solved
+            sub = (var, (coeffs, const), _NO_PREM if PR3_PIVOT_BUG else prem)
+            work_eqs = [_substitute((sub,), *e) for e in work_eqs]
+            work_ineqs = [_substitute((sub,), *i) for i in work_ineqs]
+            subs.append(sub)
         # --- integer tightening ----------------------------------------
         tight: list[tuple] = []
         for coeffs, const, prem in work_ineqs:
-            coeffs, const = _tighten(coeffs, Fraction(const))
+            coeffs, const = _tighten(coeffs, const)
             if not coeffs:
                 if const > 0:
-                    return _Presolved(conflict=frozenset(prem))
+                    return _Presolved(conflict=prem)
                 continue
             tight.append((coeffs, const, prem))
         return _Presolved(reduced=tuple(tight), subs=tuple(subs))
 
     def _fm_with(self, reduced, extra) -> frozenset | None:
         coeffs, const, prem = extra
-        coeffs, const = _tighten(dict(coeffs), Fraction(const))
+        coeffs, const = _tighten(coeffs, const)
         if not coeffs:
             return frozenset(prem) if const > 0 else None
         return self._fm(tuple(reduced) + ((coeffs, const, frozenset(prem)),))
@@ -546,7 +487,7 @@ class LiaSolver:
             var = min(vars_here, key=lambda k: vars_here[k][0] * vars_here[k][1])
             pos_cs, neg_cs, rest = [], [], []
             for c in current:
-                v = c[0].get(var, Fraction(0))
+                v = c[0].get(var, 0)
                 if v > 0:
                     pos_cs.append(c)
                 elif v < 0:
@@ -555,14 +496,18 @@ class LiaSolver:
                     rest.append(c)
             new = rest
             for pc, pk, pp in pos_cs:
+                a = pc[var]
                 for nc, nk, np_ in neg_cs:
-                    a = pc[var]
                     b = -nc[var]
                     # b*(pos) + a*(neg):  var cancels
-                    coeffs = lin_add(lin_scale(pc, b), lin_scale(nc, a))
-                    coeffs.pop(var, None)
-                    const = b * pk + a * nk
-                    coeffs, const = _tighten(coeffs, const)
+                    coeffs = {k: b * v for k, v in pc.items()}
+                    for k, v in nc.items():
+                        nv = coeffs.get(k, 0) + a * v
+                        if nv:
+                            coeffs[k] = nv
+                        else:
+                            del coeffs[k]
+                    coeffs, const = _tighten(coeffs, b * pk + a * nk)
                     prem = pp | np_
                     if not coeffs:
                         if const > 0:

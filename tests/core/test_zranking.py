@@ -1,8 +1,12 @@
 """Z-ranking baseline tests."""
 
+import pytest
+
 from repro import compile_c
+from repro.core.deadfail import AnalysisTimeout, DeadFailOracle
 from repro.core.zranking import (PrecisionAtK, RankedAlarm, precision_at_k,
                                  z_rank)
+from repro.smt.api import CertificateError
 
 
 SRC = """
@@ -55,6 +59,27 @@ class TestZRank:
         a = [(x.proc_name, x.label) for x in z_rank(prog)]
         b = [(x.proc_name, x.label) for x in z_rank(prog)]
         assert a == b
+
+
+class TestExceptionDiscipline:
+    """Only a budget expiry drops a procedure from the ranking; anything
+    else (a bug, a rejected certificate) must reach the caller instead of
+    silently shifting the z-scores."""
+
+    @pytest.mark.parametrize("exc", [TypeError("bad row"),
+                                     CertificateError("rejected proof")])
+    def test_non_budget_errors_propagate(self, monkeypatch, exc):
+        def boom(self):
+            raise exc
+        monkeypatch.setattr(DeadFailOracle, "conservative_fail", boom)
+        with pytest.raises(type(exc)):
+            z_rank(compile_c(SRC))
+
+    def test_budget_expiry_drops_the_procedure(self, monkeypatch):
+        def expire(self):
+            raise AnalysisTimeout()
+        monkeypatch.setattr(DeadFailOracle, "conservative_fail", expire)
+        assert z_rank(compile_c(SRC)) == []
 
 
 class TestPrecisionAtK:

@@ -5,7 +5,6 @@ snapshot restoration under pops."""
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -13,7 +12,7 @@ from repro.smt.theories.lia import LiaSolver
 
 
 def F(coeffs, const):
-    return ({k: Fraction(v) for k, v in coeffs.items()}, Fraction(const))
+    return (dict(coeffs), const)
 
 
 def prem(i):

@@ -3,7 +3,9 @@
 
 For every section both files share, prints one row per suite with the
 wall-seconds, query, conflict and propagation deltas, plus a per-section
-and overall rollup.  Intended for CI perf-smoke (old = committed
+and overall rollup.  Each section's rollup is followed by a ``layers``
+row with the solver's LIA, EUF and EUF↔LIA interface time deltas, so a
+diff shows which solver layer a change moved.  Intended for CI perf-smoke (old = committed
 baseline, new = the run just produced) and for eyeballing the effect of
 a solver change locally::
 
@@ -109,6 +111,24 @@ def _solver_totals(section: dict) -> dict:
     return totals
 
 
+#: (label, solver counter) of the per-layer time row
+LAYERS = (("lia", "time_lia"), ("euf", "time_euf"),
+          ("interface", "time_interface"))
+
+
+def _layer_row(old: dict, new: dict) -> str | None:
+    """Solver layer time deltas of one section, summed over its
+    records; None when neither side records layer times."""
+    ot, nt = _solver_totals(old), _solver_totals(new)
+    if not any(key in ot or key in nt for _, key in LAYERS):
+        return None
+    cells = []
+    for label, key in LAYERS:
+        o, n = _num(ot, key), _num(nt, key)
+        cells.append(f"{label} {o:7.3f}s -> {n:7.3f}s ({_delta(o, n)})")
+    return f"  {'layers':<24} " + "  ".join(cells)
+
+
 def _counter_drift(old: dict, new: dict, out) -> None:
     """Report solver counters present on only one side: new counters
     (e.g. a PR adding ``cubes_split``) print their value tagged
@@ -154,6 +174,9 @@ def compare(old: dict, new: dict, out=sys.stdout) -> tuple[float, float]:
         o = section_aggregate(old[section])
         n = section_aggregate(new[section])
         print(_row("TOTAL", o, n), file=out)
+        layers = _layer_row(old[section], new[section])
+        if layers:
+            print(layers, file=out)
         _counter_drift(old[section], new[section], out)
         total_old += _num(o, "wall_seconds")
         total_new += _num(n, "wall_seconds")
